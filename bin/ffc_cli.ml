@@ -1011,32 +1011,6 @@ let serve_cmd =
              resolve below INC, incremental patch below CACHED, cached \
              estimate below SHED, shed adds beyond.")
   in
-  let timeout_term =
-    Arg.(
-      value & opt float 0.
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-solve wall-clock timeout (0 = off). Leave off for \
-             byte-deterministic decision logs.")
-  in
-  let svc_retries_term =
-    Arg.(
-      value & opt int 2
-      & info [ "svc-retries" ] ~docv:"K"
-          ~doc:
-            "Retries per failed solve, with deterministic jittered \
-             exponential backoff, before degrading a tier.")
-  in
-  let backoff_term =
-    Arg.(
-      value & opt float 0.05
-      & info [ "backoff" ] ~docv:"SECONDS" ~doc:"Base backoff delay.")
-  in
-  let seed_term =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Backoff-jitter seed.")
-  in
   let max_sessions_term =
     Arg.(
       value & opt int 64
@@ -1053,9 +1027,9 @@ let serve_cmd =
             "Close sessions with no traffic for $(docv) seconds (0 = never).")
   in
   let run net_result specs socket script snapshot_path snapshot_every b_ss
-      epsilon min_rate (d_inc, d_cached, d_shed) timeout svc_retries backoff seed
-      max_sessions idle_timeout fault_specs fault_seed retries escape jobs cache
-      no_cache cache_dir trace metrics stride sched det =
+      epsilon min_rate (d_inc, d_cached, d_shed) max_sessions idle_timeout
+      fault_specs fault_seed retries escape jobs cache no_cache cache_dir trace
+      metrics stride sched det =
     apply_jobs jobs;
     match net_result with
     | Error e -> exit_err e
@@ -1063,7 +1037,6 @@ let serve_cmd =
       let n = Network.num_connections net in
       let adjusters = resolve_adjusters specs n in
       let plan = resolve_plan fault_specs ~seed:fault_seed ~net in
-      if svc_retries < 0 then exit_err "--svc-retries must be >= 0";
       if retries < 0 then exit_err "--retries must be >= 0";
       if max_sessions < 1 then exit_err "--max-sessions must be >= 1";
       if idle_timeout < 0. then exit_err "--idle-timeout must be >= 0";
@@ -1076,13 +1049,6 @@ let serve_cmd =
           backlog_incremental = d_inc;
           backlog_cached = d_cached;
           backlog_shed = d_shed;
-          timeout;
-          retries = svc_retries;
-          backoff_base = backoff;
-          (* Really sleeping between retries only makes sense with real
-             clients on a socket; script replays stay instant. *)
-          sleep_backoff = script = None;
-          seed;
           plan;
           sup_retries = retries;
           escape;
@@ -1113,7 +1079,7 @@ let serve_cmd =
              with no --trace/--metrics, so the protocol's live [metrics]
              and latency histograms work out of the box. *)
           with_obs ~command:"serve" ~subject ~adjusters:specs
-            ~seeds:[ ("service", seed); ("fault", fault_seed) ]
+            ~seeds:[ ("fault", fault_seed) ]
             ~faults:(Fault.describe plan) ~force:true ~jobs ~trace ~metrics
             ~stride ~sched ~timing:(not det)
             (fun () ->
@@ -1150,8 +1116,7 @@ let serve_cmd =
     Term.(
       const run $ topology_term $ adjusters_term $ socket_term $ script_term
       $ snapshot_term $ snapshot_every_term $ b_ss_term $ epsilon_term
-      $ min_rate_term $ degrade_term $ timeout_term $ svc_retries_term
-      $ backoff_term $ seed_term $ max_sessions_term $ idle_timeout_term
+      $ min_rate_term $ degrade_term $ max_sessions_term $ idle_timeout_term
       $ fault_term $ fault_seed_term $ retries_term $ escape_term $ jobs_term
       $ cache_term $ no_cache_term $ cache_dir_term $ trace_term $ metrics_term
       $ trace_stride_term $ trace_sched_term $ trace_det_term)

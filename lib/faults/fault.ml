@@ -21,6 +21,19 @@ let plan ?(seed = 0) specs = { seed; specs }
 let none = { seed = 0; specs = [] }
 let is_empty p = p.specs = []
 
+let restrict p ~keep =
+  let index = Hashtbl.create (Array.length keep) in
+  Array.iteri (fun k i -> Hashtbl.replace index i k) keep;
+  let specs =
+    List.filter_map
+      (fun s ->
+        match Option.map (List.filter_map (Hashtbl.find_opt index)) s.conns with
+        | Some [] -> None
+        | conns -> Some { s with conns })
+      p.specs
+  in
+  { p with specs }
+
 let validate { specs; seed = _ } ~net =
   let nc = Network.num_connections net in
   let ng = Network.num_gateways net in

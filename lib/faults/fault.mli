@@ -80,6 +80,11 @@ val none : plan
 
 val is_empty : plan -> bool
 
+val restrict : plan -> keep:int array -> plan
+(** The plan as seen by the sub-population [keep] (connection indices,
+    ascending): targets renumbered to their positions in [keep], targets
+    outside it dropped, and specs left with no target dropped. *)
+
 val validate : plan -> net:Network.t -> unit
 (** Raises [Invalid_argument] when a parameter is out of range, a
     connection or gateway index does not exist in [net], a gateway cut

@@ -16,6 +16,26 @@ let effective_jobs ?jobs () =
   if in_worker () then 1
   else match jobs with Some j -> j | None -> default_jobs ()
 
+(* With a trace sink live, every task's emissions are captured into a
+   private buffer — span ids and the logical clock restart in each task —
+   and flushed in task-index order: the one rule, at any jobs count, that
+   keeps a trace byte-identical whatever --jobs is. *)
+let traced_task obs f x =
+  match obs with
+  | None -> (f x, "")
+  | Some _ -> Ffc_obs.Sink.capture (fun () -> f x)
+
+let sequential obs f arr =
+  match obs with
+  | None -> Array.map f arr
+  | Some c ->
+    Array.map
+      (fun x ->
+        let r, trace = traced_task obs f x in
+        Ffc_obs.Sink.emit_raw (Ffc_obs.Ctx.sink c) trace;
+        r)
+      arr
+
 let parallel_map ?jobs f arr =
   let n = Array.length arr in
   let requested =
@@ -25,8 +45,9 @@ let parallel_map ?jobs f arr =
     | None -> default_jobs ()
   in
   Ffc_obs.Ctx.add_pool_tasks n;
+  let obs = Ffc_obs.Ctx.tracing () in
   let requested = Stdlib.min requested n in
-  if requested <= 1 then Array.map f arr
+  if requested <= 1 then sequential obs f arr
   else begin
     if in_worker () then raise Nested;
     (* Fan out at most one domain per physical core: extra domains never
@@ -39,7 +60,7 @@ let parallel_map ?jobs f arr =
       Domain.DLS.set inside true;
       Fun.protect
         ~finally:(fun () -> Domain.DLS.set inside false)
-        (fun () -> Array.map f arr)
+        (fun () -> sequential obs f arr)
     end
     else begin
     let results = Array.make n None in
@@ -48,15 +69,9 @@ let parallel_map ?jobs f arr =
     (* Chunked self-scheduling: small enough to balance uneven task
        costs, large enough that the atomic counter is not contended. *)
     let chunk = Stdlib.max 1 (n / (jobs * 4)) in
-    (* When a trace sink is live, each task's emissions are captured into
-       a private buffer and flushed in task-index order at the join —
-       that is what keeps a trace byte-identical at any --jobs value.
-       Scheduling detail (which domain ran which chunk) is inherently
+    (* Scheduling detail (which domain ran which chunk) is inherently
        nondeterministic, so it is only recorded behind [Ctx.sched]. *)
-    let obs = Ffc_obs.Ctx.tracing () in
-    let traces =
-      match obs with None -> [||] | Some _ -> Array.make n ""
-    in
+    let traces = Array.make n "" in
     let sched =
       match obs with Some c when Ffc_obs.Ctx.sched c -> true | _ -> false
     in
@@ -76,14 +91,9 @@ let parallel_map ?jobs f arr =
                 chunk_log.(slot) <- (start, stop) :: chunk_log.(slot);
               try
                 for i = start to stop - 1 do
-                  match obs with
-                  | None -> results.(i) <- Some (f arr.(i))
-                  | Some _ ->
-                    let r, trace =
-                      Ffc_obs.Sink.capture (fun () -> f arr.(i))
-                    in
-                    results.(i) <- Some r;
-                    traces.(i) <- trace
+                  let r, trace = traced_task obs f arr.(i) in
+                  results.(i) <- Some r;
+                  traces.(i) <- trace
                 done
               with e ->
                 let bt = Printexc.get_raw_backtrace () in

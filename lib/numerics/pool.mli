@@ -47,7 +47,13 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     worker-context semantics ({!in_worker}, {!Nested}) even when the
     clamp collapses the execution to the calling domain, so program
     behaviour — including byte-identical results — does not depend on
-    the machine's core count. *)
+    the machine's core count.
+
+    While a trace sink is live, every task runs under {!Ffc_obs.Sink.capture}
+    — at any jobs count, the sequential paths included — and the
+    captures are flushed in task-index order, so span ids and the
+    logical clock restart in each task and a trace is the same bytes
+    whatever [jobs] is. *)
 
 val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~jobs n f] is [Array.init n f], parallelized as in

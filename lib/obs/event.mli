@@ -79,7 +79,7 @@ val fault_flap : step:int -> conn:int -> present:bool -> string
 (** {2 Online gateway service}
 
     Emitted by [Ffc_service]: one [svc.decision] per processed request,
-    plus ladder transitions, retry backoffs and snapshot publications.
+    plus ladder transitions and snapshot publications.
     All payloads are model values (logical timestamps, never wall-clock
     time), so service traces obey the byte-identity contract. *)
 
@@ -105,10 +105,6 @@ val svc_degrade : seq:int -> from_tier:string -> to_tier:string -> string
 
 val svc_recover : seq:int -> tier:string -> string
 (** The ladder stepped back up after the backlog drained. *)
-
-val svc_backoff : seq:int -> attempt:int -> delay:float -> string
-(** A transient solver failure triggered retry [attempt] after a
-    deterministic jittered exponential [delay] (logical seconds). *)
 
 val svc_snapshot : seq:int -> bytes:int -> string
 (** A crash-safe state snapshot was atomically published. *)

@@ -16,6 +16,9 @@ val string : string -> string
 val add_escaped : Buffer.t -> string -> unit
 (** {!string}, appended to a buffer. *)
 
+val obj : (string * string) list -> string
+(** A one-line object of already-rendered values, in field order. *)
+
 (** {2 Field scraping}
 
     Minimal field extraction from the flat one-line JSON objects this

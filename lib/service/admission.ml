@@ -33,11 +33,6 @@ type config = {
   cost_cached : float;
   cost_shed : float;
   cost_query : float;
-  timeout : float;
-  retries : int;
-  backoff_base : float;
-  sleep_backoff : bool;
-  seed : int;
   plan : Fault.plan;
   sup_retries : int;
   escape : float;
@@ -57,11 +52,6 @@ let default_config =
     cost_cached = 0.002;
     cost_shed = 5e-4;
     cost_query = 0.05;
-    timeout = 0.;
-    retries = 2;
-    backoff_base = 0.05;
-    sleep_backoff = false;
-    seed = 0;
     plan = Fault.none;
     sup_retries = 3;
     escape = 1e12;
@@ -76,11 +66,13 @@ type t = {
   index_of : (string, int) Hashtbl.t;
   b_ss_per_conn : float array;  (* declared adjuster b_SS, config default *)
   digest : string;
-  failure_hook : (seq:int -> attempt:int -> bool) option;
-  slow_hook : (seq:int -> attempt:int -> float) option;
   mutable active : bool array;
   mutable ss : Vec.t;
-  mutable df : (Mat.Sparse.t * Vec.t) option;  (* DF and its build point *)
+  (* DF and the point it was built at — the base every Jacobian patch
+     starts from.  It trails [ss] after a cached-tier commit, which is
+     fine: a patch's result does not depend on its base. *)
+  mutable df : Mat.Sparse.t;
+  mutable df_at : Vec.t;
   mutable rho : float;
   mutable rho_fresh : bool;
   mutable vclock : float;
@@ -88,51 +80,24 @@ type t = {
   mutable seq_counter : int;
   mutable mutation_count : int;
   mutable last_tier : string;
-  (* Counters, persisted through snapshots in [counter_order]. *)
-  mutable admits : int;
-  mutable rejects : int;
-  mutable sheds : int;
-  mutable removes : int;
-  mutable queries : int;
-  mutable degrades : int;
-  mutable recovers : int;
-  mutable backoffs : int;
-  (* Requests served at each ladder rung (decision events only: add and
-     remove, not read-only verbs) — the counts `ffc trace report` cross
-     checks against the span stream. *)
-  mutable served_full : int;
-  mutable served_incremental : int;
-  mutable served_cached : int;
-  mutable served_shed : int;
+  (* Named counters, in the order stats replies and snapshots list
+     them.  The served_<rung> ones count decision events only (add and
+     remove, not read-only verbs) — what `ffc trace report` cross checks
+     against the span stream. *)
+  counts : (string * int ref) list;
 }
 
-let counter_order =
-  [
-    "admits"; "rejects"; "sheds"; "removes"; "queries"; "degrades"; "recovers";
-    "backoffs"; "served_full"; "served_incremental"; "served_cached";
-    "served_shed";
-  ]
+let counters t = List.map (fun (k, v) -> (k, !v)) t.counts
 
-let counters t =
-  [
-    ("admits", t.admits);
-    ("rejects", t.rejects);
-    ("sheds", t.sheds);
-    ("removes", t.removes);
-    ("queries", t.queries);
-    ("degrades", t.degrades);
-    ("recovers", t.recovers);
-    ("backoffs", t.backoffs);
-    ("served_full", t.served_full);
-    ("served_incremental", t.served_incremental);
-    ("served_cached", t.served_cached);
-    ("served_shed", t.served_shed);
-  ]
+(* Bump a counter; all but the served_<rung> tallies are mirrored in the
+   metrics registry as service.<name>. *)
+let bump ?(metric = true) t name =
+  incr (List.assoc name t.counts);
+  if metric then Ffc_obs.Ctx.incr_named ("service." ^ name)
 
 (* Everything a snapshot must have been taken under for restore to be
-   sound: the model (topology, adjusters, signal, b_SS), the admission
-   thresholds, the ladder geometry, and the verdict machinery's
-   parameters. *)
+   sound: the model, the admission thresholds, the ladder geometry and
+   the query supervisor's parameters. *)
 let compute_digest ~config:c ~controller ~net =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Dsl.to_string net);
@@ -143,14 +108,13 @@ let compute_digest ~config:c ~controller ~net =
     (Controller.adjusters controller);
   List.iter (fun s -> Buffer.add_string buf (s ^ "\n")) (Fault.describe c.plan);
   Buffer.add_string buf
-    (Printf.sprintf "%s|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%d|%h|%d|%d|%h"
+    (Printf.sprintf "%s|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%d|%h"
        (Signal.name c.signal) c.b_ss c.epsilon c.min_rate c.backlog_incremental
        c.backlog_cached c.backlog_shed c.cost_full c.cost_incremental
-       c.cost_cached c.cost_shed c.cost_query c.timeout c.retries
-       c.backoff_base c.seed c.sup_retries c.escape);
+       c.cost_cached c.cost_shed c.cost_query c.sup_retries c.escape);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let create ?(config = default_config) ?failure_hook ?slow_hook controller ~net =
+let create ?(config = default_config) controller ~net =
   let n = Network.num_connections net in
   if Array.length (Controller.adjusters controller) <> n then
     invalid_arg "Admission.create: adjuster count does not match the network";
@@ -162,7 +126,6 @@ let create ?(config = default_config) ?failure_hook ?slow_hook controller ~net =
       && config.backlog_cached >= config.backlog_incremental
       && config.backlog_shed >= config.backlog_cached)
   then invalid_arg "Admission.create: ladder thresholds must be nondecreasing";
-  if config.retries < 0 then invalid_arg "Admission.create: retries must be >= 0";
   Fault.validate config.plan ~net;
   let names =
     Array.init n (fun i -> (Network.connection net i).Network.conn_name)
@@ -174,6 +137,14 @@ let create ?(config = default_config) ?failure_hook ?slow_hook controller ~net =
       (fun a -> Option.value (Rate_adjust.declared_b_ss a) ~default:config.b_ss)
       (Controller.adjusters controller)
   in
+  (* Idle slots sit at rate 0 in every DF the engine will ever build, so
+     an adjuster that fails here would fail every later solve too. *)
+  let idle = Array.make n 0. in
+  let df =
+    try Jacobian.of_controller_sparse controller ~net ~at:idle
+    with Failure msg ->
+      invalid_arg ("Admission.create: DF at the idle point failed: " ^ msg)
+  in
   {
     config;
     controller;
@@ -183,11 +154,10 @@ let create ?(config = default_config) ?failure_hook ?slow_hook controller ~net =
     index_of;
     b_ss_per_conn;
     digest = compute_digest ~config ~controller ~net;
-    failure_hook;
-    slow_hook;
     active = Array.make n false;
-    ss = Array.make n 0.;
-    df = None;
+    ss = idle;
+    df;
+    df_at = idle;
     rho = 0.;
     rho_fresh = true;
     vclock = 0.;
@@ -195,23 +165,23 @@ let create ?(config = default_config) ?failure_hook ?slow_hook controller ~net =
     seq_counter = 0;
     mutation_count = 0;
     last_tier = "full";
-    admits = 0;
-    rejects = 0;
-    sheds = 0;
-    removes = 0;
-    queries = 0;
-    degrades = 0;
-    recovers = 0;
-    backoffs = 0;
-    served_full = 0;
-    served_incremental = 0;
-    served_cached = 0;
-    served_shed = 0;
+    counts =
+      List.map
+        (fun k -> (k, ref 0))
+        [
+          "admits"; "rejects"; "sheds"; "removes"; "queries"; "degrades";
+          "recovers"; "served_full"; "served_incremental"; "served_cached";
+          "served_shed";
+        ];
   }
 
 let net t = t.net
 let active t = Array.copy t.active
 let active_count t = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.active
+
+(* The active slots, ascending. *)
+let active_slots t =
+  Array.of_seq (Seq.filter (fun i -> t.active.(i)) (Seq.init t.n Fun.id))
 let rates t = Array.copy t.ss
 let rho t = t.rho
 let seq t = t.seq_counter
@@ -226,27 +196,85 @@ let next_seq t =
 type reply = { line : string; mutated : bool }
 
 (* ------------------------------------------------------------------ *)
-(* Response rendering                                                  *)
+(* Outcomes and their rendering                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json fields =
-  let buf = Buffer.create 192 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Ffc_obs.Jsonf.add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* One served add or remove: everything its reply line, its
+   svc.decision event and its request span report. *)
+type decision = {
+  seq : int;
+  op : string;  (* "add" | "remove" *)
+  conn : string;
+  reason : string option;  (* why an add was rejected *)
+  tier : string;  (* the rung that served it, "shed" included *)
+  rate : float option;
+  rho_v : float option;
+  fresh : bool;  (* the engine's [rho_fresh] once the request is served *)
+  min_ratio : float option;
+  active_n : int;
+  attempts : int;  (* 1 when solved, 0 when shed *)
+  backlog : float;
+  clock : float;
+  batch : int option;
+}
 
+type outcome =
+  | Decided of decision
+  | Refused of { seq : int; msg : string }  (* bad slot or connection *)
+  | Read of { tier : string; line : string }  (* query / stats *)
+
+let json = Ffc_obs.Jsonf.obj
 let jnum = Ffc_obs.Jsonf.float_json
 let jstr = Ffc_obs.Jsonf.string
 let jint = string_of_int
 let jbool = string_of_bool
-let error_line ~seq msg = json [ ("ok", "false"); ("seq", jint seq); ("error", jstr msg) ]
+
+let verdict_label d =
+  if d.op = "remove" then "ok" else if d.reason = None then "admit" else "reject"
+
+(* The one renderer of add- and remove-shaped replies; batch members
+   add their bracket size. *)
+let render_decision d =
+  let opt key f = function None -> [] | Some v -> [ (key, f v) ] in
+  json
+    ([
+       ("ok", "true");
+       ("op", jstr d.op);
+       ("seq", jint d.seq);
+       ("conn", jstr d.conn);
+       ("decision", jstr (verdict_label d));
+       ("tier", jstr d.tier);
+     ]
+    @ opt "reason" jstr d.reason
+    @ opt "rate" jnum d.rate
+    @ opt "rho" jnum d.rho_v
+    @ [ ("rho_fresh", jbool d.fresh) ]
+    @ opt "min_ratio" jnum d.min_ratio
+    @ [
+        ("active", jint d.active_n);
+        ("attempts", jint d.attempts);
+        ("backlog", jnum d.backlog);
+        ("vclock", jnum d.clock);
+      ]
+    @ opt "batch" jint d.batch)
+
+let render = function
+  | Decided d -> render_decision d
+  | Refused { seq; msg } ->
+    json [ ("ok", "false"); ("seq", jint seq); ("error", jstr msg) ]
+  | Read { line; _ } -> line
+
+(* What a request span and the latency histogram report: the served
+   tier and the decision. *)
+let served = function
+  | Decided d -> (d.tier, verdict_label d)
+  | Refused _ -> ("error", "error")
+  | Read { tier; _ } -> (tier, "ok")
+
+(* Admits and removes commit a join/leave; nothing else does. *)
+let mutated = function
+  | Decided d -> d.op = "remove" || d.reason = None
+  | Refused _ | Read _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Ladder mechanics                                                    *)
@@ -266,142 +294,94 @@ let cost_of t = function
 
 let charge t ~time cost = t.vclock <- Float.max t.vclock time +. cost
 
+let request_time t = function
+  | Some time when Float.is_finite time -> Float.max t.last_time time
+  | Some _ | None -> t.last_time
+
+(* Stamp an arriving request: its seq, its effective arrival time (never
+   before the previous one) and the backlog it finds. *)
+let arrive t time =
+  let seq = next_seq t in
+  let time = request_time t time in
+  t.last_time <- time;
+  (seq, time, backlog_at t ~time)
+
 (* Record the ladder transition implied by serving this request at
    [label], updating counters and trace. *)
 let note_tier t ~seq label =
   let prev = rank_of_label t.last_tier and cur = rank_of_label label in
-  if cur > prev then begin
-    t.degrades <- t.degrades + 1;
-    Ffc_obs.Ctx.incr_named "service.degrades";
+  if cur <> prev then begin
+    let degrade = cur > prev in
+    bump t (if degrade then "degrades" else "recovers");
     match Ffc_obs.Ctx.tracing () with
     | Some c ->
       Ffc_obs.Ctx.emit c
-        (Ffc_obs.Event.svc_degrade ~seq ~from_tier:t.last_tier ~to_tier:label)
-    | None -> ()
-  end
-  else if cur < prev then begin
-    t.recovers <- t.recovers + 1;
-    Ffc_obs.Ctx.incr_named "service.recovers";
-    match Ffc_obs.Ctx.tracing () with
-    | Some c -> Ffc_obs.Ctx.emit c (Ffc_obs.Event.svc_recover ~seq ~tier:label)
+        (if degrade then
+           Ffc_obs.Event.svc_degrade ~seq ~from_tier:t.last_tier ~to_tier:label
+         else Ffc_obs.Event.svc_recover ~seq ~tier:label)
     | None -> ()
   end;
   t.last_tier <- label
 
-exception Transient of string
+(* A decision about [slot] as the engine stands now: the live rho_fresh
+   and vclock, and by default the live population. *)
+let decision t ?(op = "add") ~seq ~slot ~backlog ~batch ~tier ?reason ?rate
+    ?rho_v ?min_ratio ?(active_n = active_count t) ?(attempts = 1) () =
+  { seq; op; conn = t.names.(slot); reason; tier; rate; rho_v;
+    fresh = t.rho_fresh; min_ratio; active_n; attempts; backlog;
+    clock = t.vclock; batch }
 
-(* Run one solve under the robustness envelope: injected-fault seam,
-   observational wall-clock deadline, bounded retries with deterministic
-   jittered exponential backoff.  The jitter stream is a pure function
-   of (config seed, request seq), so identical request streams back off
-   identically wherever they run.
+(* Publish a decision: its counter, its ladder transition, its served
+   tier and its svc.decision event. *)
+let decide t d =
+  bump t
+    (match (verdict_label d, d.tier) with
+    | "ok", _ -> "removes"
+    | "admit", _ -> "admits"
+    | _, "shed" -> "sheds"
+    | _ -> "rejects");
+  note_tier t ~seq:d.seq d.tier;
+  bump ~metric:false t ("served_" ^ d.tier);
+  (match Ffc_obs.Ctx.tracing () with
+  | Some c ->
+    Ffc_obs.Ctx.emit c
+      (Ffc_obs.Event.svc_decision ~seq:d.seq ~op:d.op ~conn:d.conn
+         ~decision:(verdict_label d) ~tier:d.tier ?rho:d.rho_v
+         ?min_ratio:d.min_ratio ?rate:d.rate ~backlog:d.backlog ())
+  | None -> ());
+  Decided d
 
-   A solve that finishes after the deadline still finished: the result
-   is kept (discarding it would throw away completed work and re-pay
-   the whole solve), and the overrun is recorded only in the ambient
-   metrics registry, which — like the latency histograms — sits outside
-   the determinism contract.  Nothing on the decision path reads the
-   wall clock, so decision logs are reproducible even with
-   [timeout > 0]. *)
-let solve_with_retry t ~seq f =
-  let rng = Rng.create (t.config.seed lxor (seq * 0x9E3779B9)) in
-  let rec go attempt =
-    let retry () =
-      if attempt >= t.config.retries then None
-      else begin
-        let delay =
-          t.config.backoff_base
-          *. Float.pow 2. (float_of_int attempt)
-          *. (1. +. Rng.uniform rng)
-        in
-        t.backoffs <- t.backoffs + 1;
-        Ffc_obs.Ctx.incr_named "service.backoffs";
-        (match Ffc_obs.Ctx.tracing () with
-        | Some c -> Ffc_obs.Ctx.emit c (Ffc_obs.Event.svc_backoff ~seq ~attempt ~delay)
-        | None -> ());
-        if t.config.sleep_backoff then Unix.sleepf delay;
-        go (attempt + 1)
-      end
-    in
-    match
-      (match t.failure_hook with
-      | Some hook when hook ~seq ~attempt -> raise (Transient "injected solver fault")
-      | Some _ | None -> ());
-      let t0 = if t.config.timeout > 0. then Unix.gettimeofday () else 0. in
-      (* The slow-solve seam sleeps inside the timed window, so a test
-         can make this attempt overrun the deadline. *)
-      (match t.slow_hook with
-      | Some hook ->
-        let d = hook ~seq ~attempt in
-        if d > 0. then Unix.sleepf d
-      | None -> ());
-      let r = f () in
-      if t.config.timeout > 0. && Unix.gettimeofday () -. t0 > t.config.timeout
-      then Ffc_obs.Ctx.incr_named "service.timeouts";
-      r
-    with
-    | r -> Some (r, attempt + 1)
-    | exception Transient _ -> retry ()
-    | exception Failure _ -> retry ()
-  in
-  go 0
+(* ------------------------------------------------------------------ *)
+(* The pipeline: patched rates, patched DF, one verdict                *)
+(* ------------------------------------------------------------------ *)
 
-(* The DF cache, rebuilt lazily after a restore (bit-identical to the
-   pre-crash matrix; warm from the result cache when one is installed). *)
-let ensure_df t =
-  match t.df with
-  | Some (df, at) -> (df, at)
-  | None ->
-    let df = Jacobian.of_controller_sparse t.controller ~net:t.net ~at:t.ss in
-    t.df <- Some (df, t.ss);
-    (df, t.ss)
+(* Fair rates of [mask], patched from the rates of [prev_active]:
+   bit-for-bit the from-scratch masked solve, at every tier. *)
+let rates_of t ~prev ~prev_active mask =
+  Steady_state.update_fair ~signal:t.config.signal ~b_ss:t.config.b_ss
+    ~net:t.net ~prev ~prev_active ~active:mask
 
-type solved = {
-  s_ss : Vec.t;
-  s_df : (Mat.Sparse.t * Vec.t) option;
-  s_rho : float;
-  s_fresh : bool;
-}
-
-let solve_mask t tier ~mask =
-  let { signal; b_ss; _ } = t.config in
+(* Stability evidence for rates [ss] from rung [tier] down: the patched
+   DF at [ss] with the exact ρ (full) or the cross-checked estimate
+   (incremental), else no DF and the stale committed ρ (cached).  A
+   [Failure] (non-finite adjuster output, QR non-convergence) would recur
+   on retry, so the request steps one rung down; cached cannot fail. *)
+let rec stability t tier ss =
   match tier with
-  | Full ->
-    let ss' = Steady_state.fair_masked ~signal ~b_ss ~net:t.net ~active:mask in
-    let df' = Jacobian.of_controller_sparse t.controller ~net:t.net ~at:ss' in
-    let rho' = Jacobian.spectral_radius_sparse df' in
-    { s_ss = ss'; s_df = Some (df', ss'); s_rho = rho'; s_fresh = true }
-  | Incremental ->
-    let ss' =
-      Steady_state.update_fair ~signal ~b_ss ~net:t.net ~prev:t.ss
-        ~prev_active:t.active ~active:mask
-    in
-    let prev_df, prev_at = ensure_df t in
-    let df' =
-      Jacobian.update_flow t.controller ~net:t.net ~prev:prev_df ~prev_at ~at:ss'
-    in
-    let rho' = Jacobian.spectral_radius_incremental df' in
-    { s_ss = ss'; s_df = Some (df', ss'); s_rho = rho'; s_fresh = true }
-  | Cached ->
-    let ss' =
-      Steady_state.update_fair ~signal ~b_ss ~net:t.net ~prev:t.ss
-        ~prev_active:t.active ~active:mask
-    in
-    { s_ss = ss'; s_df = t.df; s_rho = t.rho; s_fresh = false }
-
-(* Walk the ladder downward from [tier] until a solve survives the
-   retry envelope; every forced step down is a degrade event. *)
-let solve_degrading t ~seq ~mask tier =
-  let rec go tier =
-    match solve_with_retry t ~seq (fun () -> solve_mask t tier ~mask) with
-    | Some (solved, attempts) -> Some (tier, solved, attempts)
-    | None -> (
-      match tier with
-      | Full -> go Incremental
-      | Incremental -> go Cached
-      | Cached -> None)
-  in
-  go tier
+  | Cached -> (Cached, t.rho, None)
+  | Full | Incremental -> (
+    match
+      let df =
+        Jacobian.update_flow t.controller ~net:t.net ~prev:t.df ~prev_at:t.df_at
+          ~at:ss
+      in
+      ( df,
+        if tier = Full then Jacobian.spectral_radius_sparse df
+        else Jacobian.spectral_radius_incremental df )
+    with
+    | df, rho -> (tier, rho, Some df)
+    | exception Failure _ ->
+      stability t (if tier = Full then Incremental else Cached) ss)
 
 let min_ratio_of t ~mask ~rates =
   let baselines =
@@ -414,12 +394,26 @@ let min_ratio_of t ~mask ~rates =
     baselines;
   if Float.is_finite !best then Some !best else None
 
-let commit ?(mutations = 1) t ~mask solved =
+(* The admission rule, Musacchio–Walrand ingress discarding over the
+   candidate fair state: the newcomer's rate, Theorem 5's min-ratio,
+   then ρ(DF) < 1 — the last skipped without [rho] (a bracket's pass 1). *)
+let verdict ?rho t ~rate ~min_ratio =
+  if rate < t.config.min_rate then Some "min_rate"
+  else if
+    match min_ratio with Some r -> r < 1. -. t.config.epsilon | None -> false
+  then Some "min_ratio"
+  else match rho with Some r when r >= 1. -> Some "rho" | _ -> None
+
+let commit ?(mutations = 1) t ~mask ~ss ~rho df =
   t.active <- mask;
-  t.ss <- solved.s_ss;
-  (match solved.s_df with Some _ as df -> t.df <- df | None -> ());
-  t.rho <- solved.s_rho;
-  t.rho_fresh <- solved.s_fresh;
+  t.ss <- ss;
+  Option.iter
+    (fun df ->
+      t.df <- df;
+      t.df_at <- ss)
+    df;
+  t.rho <- rho;
+  t.rho_fresh <- Option.is_some df;
   t.mutation_count <- t.mutation_count + mutations;
   (* Per-window fairness of the committed allocation: Jain's index over
      the rates of the flows active after this mutation.  A pure function
@@ -427,44 +421,15 @@ let commit ?(mutations = 1) t ~mask solved =
   match Ffc_obs.Ctx.ambient () with
   | None -> ()
   | Some c ->
-    let k = ref 0 in
-    Array.iter (fun a -> if a then incr k) t.active;
-    if !k > 0 then begin
-      let rates = Array.make !k 0. in
-      let j = ref 0 in
-      Array.iteri
-        (fun i a ->
-          if a then begin
-            rates.(!j) <- t.ss.(i);
-            incr j
-          end)
-        t.active;
+    let rates = Array.map (fun i -> t.ss.(i)) (active_slots t) in
+    if Array.length rates > 0 then
       Ffc_obs.Metrics.Gauge.set
         (Ffc_obs.Metrics.gauge (Ffc_obs.Ctx.metrics c) "service.jain_fairness")
         (Stats.jain_index rates)
-    end
-
-let emit_decision t ~seq ~op ?conn ~decision ~tier ?rho:rho_v ?min_ratio ?rate
-    ~backlog () =
-  (match rank_of_label tier with
-  | 0 -> t.served_full <- t.served_full + 1
-  | 1 -> t.served_incremental <- t.served_incremental + 1
-  | 2 -> t.served_cached <- t.served_cached + 1
-  | _ -> t.served_shed <- t.served_shed + 1);
-  match Ffc_obs.Ctx.tracing () with
-  | Some c ->
-    Ffc_obs.Ctx.emit c
-      (Ffc_obs.Event.svc_decision ~seq ~op ?conn ~decision ~tier ?rho:rho_v
-         ?min_ratio ?rate ~backlog ())
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* add                                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let request_time t = function
-  | Some time when Float.is_finite time -> Float.max t.last_time time
-  | Some _ | None -> t.last_time
 
 (* Slot lookup against an explicit occupancy mask, so a batch can probe
    its tentative population rather than the committed one. *)
@@ -473,466 +438,159 @@ let find_slot_in t mask = function
     match Hashtbl.find_opt t.index_of name with
     | None -> Error (Printf.sprintf "unknown connection %S" name)
     | Some i -> if mask.(i) then Error (Printf.sprintf "slot %S is busy" name) else Ok i)
-  | None -> (
-    let rec first i =
-      if i >= t.n then Error "no idle slot"
-      else if mask.(i) then first (i + 1)
-      else Ok i
-    in
-    first 0)
+  | None ->
+    Option.to_result ~none:"no idle slot"
+      (Seq.find (fun i -> not mask.(i)) (Seq.init t.n Fun.id))
 
-let find_slot t conn = find_slot_in t t.active conn
+let refuse_add t ~seq ~time msg =
+  charge t ~time t.config.cost_shed;
+  bump t "rejects";
+  Refused { seq; msg }
 
-let handle_add t ~conn ~time ~size =
-  let seq = next_seq t in
-  let time = request_time t time in
-  t.last_time <- time;
-  let backlog = backlog_at t ~time in
-  ignore size;
-  match find_slot t conn with
-  | Error msg ->
-    charge t ~time t.config.cost_shed;
-    t.rejects <- t.rejects + 1;
-    Ffc_obs.Ctx.incr_named "service.rejects";
-    { line = error_line ~seq msg; mutated = false }
-  | Ok slot ->
-    let name = t.names.(slot) in
-    let finish ~decision ~tier ?reason ?rho_v ?min_ratio ?rate ~attempts () =
-      note_tier t ~seq tier;
-      emit_decision t ~seq ~op:"add" ~conn:name ~decision ~tier ?rho:rho_v
-        ?min_ratio ?rate ~backlog ();
-      let fields =
-        [
-          ("ok", "true");
-          ("op", jstr "add");
-          ("seq", jint seq);
-          ("conn", jstr name);
-          ("decision", jstr decision);
-          ("tier", jstr tier);
-        ]
-        @ (match reason with None -> [] | Some r -> [ ("reason", jstr r) ])
-        @ (match rate with None -> [] | Some r -> [ ("rate", jnum r) ])
-        @ (match rho_v with None -> [] | Some r -> [ ("rho", jnum r) ])
-        @ [ ("rho_fresh", jbool t.rho_fresh) ]
-        @ (match min_ratio with None -> [] | Some r -> [ ("min_ratio", jnum r) ])
-        @ [
-            ("active", jint (active_count t));
-            ("attempts", jint attempts);
-            ("backlog", jnum backlog);
-            ("vclock", jnum t.vclock);
-          ]
-      in
-      json fields
-    in
-    if backlog >= t.config.backlog_shed then begin
-      (* Overload ladder floor: discard at ingress without touching the
-         solvers at all. *)
-      charge t ~time t.config.cost_shed;
-      t.sheds <- t.sheds + 1;
-      Ffc_obs.Ctx.incr_named "service.sheds";
-      {
-        line = finish ~decision:"reject" ~tier:"shed" ~reason:"overload" ~attempts:0 ();
-        mutated = false;
-      }
-    end
-    else begin
-      let mask = Array.copy t.active in
-      mask.(slot) <- true;
-      match solve_degrading t ~seq ~mask (pick_tier t ~backlog) with
-      | None ->
-        charge t ~time t.config.cost_cached;
-        t.rejects <- t.rejects + 1;
-        Ffc_obs.Ctx.incr_named "service.rejects";
-        {
-          line =
-            finish ~decision:"reject" ~tier:"cached" ~reason:"solver_failure"
-              ~attempts:(t.config.retries + 1) ();
-          mutated = false;
-        }
-      | Some (tier, solved, attempts) ->
-        charge t ~time (cost_of t tier);
-        let rate = solved.s_ss.(slot) in
-        let min_ratio = min_ratio_of t ~mask ~rates:solved.s_ss in
-        let reason =
-          if rate < t.config.min_rate then Some "min_rate"
-          else if
-            match min_ratio with
-            | Some r -> r < 1. -. t.config.epsilon
-            | None -> false
-          then Some "min_ratio"
-          else if solved.s_rho >= 1. then Some "rho"
-          else None
-        in
-        (match reason with
-        | None ->
-          commit t ~mask solved;
-          t.admits <- t.admits + 1;
-          Ffc_obs.Ctx.incr_named "service.admits"
-        | Some _ ->
-          t.rejects <- t.rejects + 1;
-          Ffc_obs.Ctx.incr_named "service.rejects");
-        let decision = match reason with None -> "admit" | Some _ -> "reject" in
-        {
-          line =
-            finish ~decision ~tier:(tier_label tier) ?reason ~rho_v:solved.s_rho
-              ?min_ratio ~rate ~attempts ();
-          mutated = reason = None;
-        }
-    end
+(* Overload ladder floor: discard at ingress without touching the
+   solvers at all. *)
+let shed t ~seq ~time ~slot ~backlog ~active_n ~batch =
+  charge t ~time t.config.cost_shed;
+  decide t
+    (decision t ~seq ~slot ~backlog ~batch ~tier:"shed" ~reason:"overload"
+       ~active_n ~attempts:0 ())
+
+(* One add against committed state, entering the ladder at [tier] —
+   a serial add (charged at its arrival [time]) or a bracket member
+   replayed after the bracket's single ρ check crossed 1 (uncharged). *)
+let admit_one ?time t ~seq ~slot ~tier ~backlog ~batch =
+  let mask = Array.copy t.active in
+  mask.(slot) <- true;
+  let ss = rates_of t ~prev:t.ss ~prev_active:t.active mask in
+  let tier, rho, df = stability t tier ss in
+  Option.iter (fun time -> charge t ~time (cost_of t tier)) time;
+  let rate = ss.(slot) in
+  let min_ratio = min_ratio_of t ~mask ~rates:ss in
+  let reason = verdict t ~rate ~min_ratio ~rho in
+  if reason = None then commit t ~mask ~ss ~rho df;
+  decide t
+    (decision t ~seq ~slot ~backlog ~batch ~tier:(tier_label tier) ?reason
+       ~rate ~rho_v:rho ?min_ratio ())
+
+(* What every add meets before its rates are solved: a free slot in
+   [mask], then the shed threshold.  [Error] carries the settled
+   outcome. *)
+let arrive_add t ~mask ~active_n ~batch { Protocol.conn; time; size = _ } =
+  let seq, time, backlog = arrive t time in
+  match find_slot_in t mask conn with
+  | Error msg -> Error (refuse_add t ~seq ~time msg)
+  | Ok slot when backlog >= t.config.backlog_shed ->
+    Error (shed t ~seq ~time ~slot ~backlog ~active_n ~batch)
+  | Ok slot -> Ok (seq, time, backlog, slot)
+
+let handle_add t add =
+  match arrive_add t ~mask:t.active ~active_n:(active_count t) ~batch:None add with
+  | Error o -> o
+  | Ok (seq, time, backlog, slot) ->
+    admit_one ~time t ~seq ~slot ~tier:(pick_tier t ~backlog) ~backlog
+      ~batch:None
 
 (* ------------------------------------------------------------------ *)
 (* batch: rank-k admission                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The reply fields shared by every add-shaped response a batch member
-   can get; unlike serial [handle_add]'s [finish] this takes every
-   value explicitly because member replies are composed against the
-   chain state their member saw, not the live engine state. *)
-let add_reply ~seq ~name ~decision ~tier ?reason ?rate ?rho_v ~rho_fresh
-    ?min_ratio ~active ~attempts ~backlog ~vclock ~batch () =
-  json
-    ([
-       ("ok", "true");
-       ("op", jstr "add");
-       ("seq", jint seq);
-       ("conn", jstr name);
-       ("decision", jstr decision);
-       ("tier", jstr tier);
-     ]
-    @ (match reason with None -> [] | Some r -> [ ("reason", jstr r) ])
-    @ (match rate with None -> [] | Some r -> [ ("rate", jnum r) ])
-    @ (match rho_v with None -> [] | Some r -> [ ("rho", jnum r) ])
-    @ [ ("rho_fresh", jbool rho_fresh) ]
-    @ (match min_ratio with None -> [] | Some r -> [ ("min_ratio", jnum r) ])
-    @ [
-        ("active", jint active);
-        ("attempts", jint attempts);
-        ("backlog", jnum backlog);
-        ("vclock", jnum vclock);
-        ("batch", jint batch);
-      ])
+(* After pass 1 a member is settled, or a candidate that passed every
+   per-member check and awaits the bracket's single ρ(DF) verdict, its
+   decision drafted against the chain state it saw ([req] is its own
+   slot name, for serial replay). *)
+type member =
+  | Settled of outcome
+  | Candidate of { draft : decision; slot : int; req : string option }
 
-(* One batch member after pass 1: [Settled] members (slot errors,
-   ingress sheds, per-member rejections) already have their reply line;
-   [Candidate]s passed every per-member check and await the single
-   batch-final rho(DF) verdict. *)
-type candidate = {
-  c_seq : int;
-  c_conn : string option;  (* the request's own name, for serial replay *)
-  c_slot : int;
-  c_name : string;
-  c_rate : float;
-  c_min_ratio : float option;
-  c_attempts : int;
-  c_backlog : float;
-  c_vclock : float;
-  c_active : int;  (* population size with this member joined *)
-}
-
-type member = Settled of string | Candidate of candidate
-
-(* Rank-k admission: the members' rates are solved as a chain of
-   {!Steady_state.update_fair} patches against a tentative population —
-   each of those rate vectors is bit-identical to what the serial adds
-   would have produced (the incremental kernels are prev-independent) —
-   and the expensive stability evidence, DF and rho(DF), is computed
-   once on the batch-final accepted mask.  Whenever rho stays on the
-   same side of 1 throughout the batch (the regular case), every
-   verdict bit-matches serial execution; if the single check lands at
-   rho >= 1, the candidates are replayed serially against committed
-   state so the greedy serial verdicts are reproduced exactly. *)
+(* Rank-k admission (see the interface): member rates chain update_fair
+   patches over a tentative population, each bit-identical to the serial
+   add's; DF and ρ(DF) are computed once, on the batch-final mask. *)
 let handle_batch_requests t (adds : Protocol.add list) =
-  let { signal; b_ss; _ } = t.config in
   let k = List.length adds in
+  let batch = Some k in
   let base_active = active_count t in
   let cur_mask = ref t.active in
   let cur_ss = ref t.ss in
   let n_cand = ref 0 in
-  let admits = ref 0 and rejects = ref 0 and sheds = ref 0 and errors = ref 0 in
-  let batch_tier = ref None in
+  let entry = ref None in
   (* ---- pass 1: per-member slot/shed/rate checks on the chain ---- *)
   let members =
     List.map
-      (fun { Protocol.conn; time; size } ->
-        ignore size;
-        let seq = next_seq t in
-        let time = request_time t time in
-        t.last_time <- time;
-        let backlog = backlog_at t ~time in
-        match find_slot_in t !cur_mask conn with
-        | Error msg ->
-          charge t ~time t.config.cost_shed;
-          t.rejects <- t.rejects + 1;
-          incr errors;
-          Ffc_obs.Ctx.incr_named "service.rejects";
-          Settled (error_line ~seq msg)
-        | Ok slot ->
-          let name = t.names.(slot) in
-          if backlog >= t.config.backlog_shed then begin
-            charge t ~time t.config.cost_shed;
-            t.sheds <- t.sheds + 1;
-            incr sheds;
-            Ffc_obs.Ctx.incr_named "service.sheds";
-            note_tier t ~seq "shed";
-            emit_decision t ~seq ~op:"add" ~conn:name ~decision:"reject"
-              ~tier:"shed" ~backlog ();
-            Settled
-              (add_reply ~seq ~name ~decision:"reject" ~tier:"shed"
-                 ~reason:"overload" ~rho_fresh:t.rho_fresh
-                 ~active:(base_active + !n_cand) ~attempts:0 ~backlog
-                 ~vclock:t.vclock ~batch:k ())
-          end
-          else begin
-            let mask = Array.copy !cur_mask in
-            mask.(slot) <- true;
-            match
-              solve_with_retry t ~seq (fun () ->
-                  Steady_state.update_fair ~signal ~b_ss ~net:t.net
-                    ~prev:!cur_ss ~prev_active:!cur_mask ~active:mask)
-            with
-            | None ->
-              charge t ~time t.config.cost_cached;
-              t.rejects <- t.rejects + 1;
-              incr rejects;
-              Ffc_obs.Ctx.incr_named "service.rejects";
-              note_tier t ~seq "cached";
-              emit_decision t ~seq ~op:"add" ~conn:name ~decision:"reject"
-                ~tier:"cached" ~backlog ();
-              Settled
-                (add_reply ~seq ~name ~decision:"reject" ~tier:"cached"
-                   ~reason:"solver_failure" ~rho_fresh:t.rho_fresh
-                   ~active:(base_active + !n_cand)
-                   ~attempts:(t.config.retries + 1) ~backlog ~vclock:t.vclock
-                   ~batch:k ())
-            | Some (ss', attempts) ->
-              if !batch_tier = None then batch_tier := Some (pick_tier t ~backlog);
-              charge t ~time t.config.cost_cached;
-              let rate = ss'.(slot) in
-              let min_ratio = min_ratio_of t ~mask ~rates:ss' in
-              let reason =
-                if rate < t.config.min_rate then Some "min_rate"
-                else if
-                  match min_ratio with
-                  | Some r -> r < 1. -. t.config.epsilon
-                  | None -> false
-                then Some "min_ratio"
-                else None
-              in
-              (match reason with
-              | Some reason ->
-                t.rejects <- t.rejects + 1;
-                incr rejects;
-                Ffc_obs.Ctx.incr_named "service.rejects";
-                note_tier t ~seq "cached";
-                emit_decision t ~seq ~op:"add" ~conn:name ~decision:"reject"
-                  ~tier:"cached" ~rho:t.rho ?min_ratio ~rate ~backlog ();
-                Settled
-                  (add_reply ~seq ~name ~decision:"reject" ~tier:"cached"
-                     ~reason ~rate ~rho_v:t.rho ~rho_fresh:t.rho_fresh
-                     ?min_ratio ~active:(base_active + !n_cand) ~attempts
-                     ~backlog ~vclock:t.vclock ~batch:k ())
-              | None ->
-                cur_mask := mask;
-                cur_ss := ss';
-                incr n_cand;
-                Candidate
-                  {
-                    c_seq = seq;
-                    c_conn = conn;
-                    c_slot = slot;
-                    c_name = name;
-                    c_rate = rate;
-                    c_min_ratio = min_ratio;
-                    c_attempts = attempts;
-                    c_backlog = backlog;
-                    c_vclock = t.vclock;
-                    c_active = base_active + !n_cand;
-                  })
-          end)
+      (fun (add : Protocol.add) ->
+        match
+          arrive_add t ~mask:!cur_mask ~active_n:(base_active + !n_cand) ~batch
+            add
+        with
+        | Error o -> Settled o
+        | Ok (seq, time, backlog, slot) ->
+          let mask = Array.copy !cur_mask in
+          mask.(slot) <- true;
+          let ss = rates_of t ~prev:!cur_ss ~prev_active:!cur_mask mask in
+          if !entry = None then entry := Some (pick_tier t ~backlog);
+          charge t ~time t.config.cost_cached;
+          let rate = ss.(slot) in
+          let min_ratio = min_ratio_of t ~mask ~rates:ss in
+          let reason = verdict t ~rate ~min_ratio in
+          if reason = None then begin
+            cur_mask := mask;
+            cur_ss := ss;
+            incr n_cand
+          end;
+          let draft =
+            decision t ~seq ~slot ~backlog ~batch ~tier:"cached" ?reason ~rate
+              ~rho_v:t.rho ?min_ratio ~active_n:(base_active + !n_cand) ()
+          in
+          if reason = None then Candidate { draft; slot; req = add.conn }
+          else Settled (decide t draft))
       adds
   in
   (* ---- pass 2: one batch-final stability verdict ---- *)
-  let summary_seq = next_seq t in
-  let sum_time = t.last_time in
-  let sum_backlog = backlog_at t ~time:sum_time in
-  let tier = match !batch_tier with Some tr -> tr | None -> Cached in
-  let final_mask = !cur_mask and final_ss = !cur_ss in
-  let attempts_final = ref 0 in
-  let batch_label = ref "cached" in
-  let candidate_line =
-    if !n_cand = 0 then begin
-      charge t ~time:sum_time t.config.cost_shed;
-      fun (_ : candidate) -> assert false
-    end
-    else begin
-      let solved_final =
-        match tier with
-        | Cached ->
-          charge t ~time:sum_time t.config.cost_cached;
-          Some ({ s_ss = final_ss; s_df = t.df; s_rho = t.rho; s_fresh = false }, 0)
-        | Full -> (
-          match
-            solve_with_retry t ~seq:summary_seq (fun () ->
-                let df' =
-                  Jacobian.of_controller_sparse t.controller ~net:t.net
-                    ~at:final_ss
-                in
-                (df', Jacobian.spectral_radius_sparse df'))
-          with
-          | Some ((df', rho'), attempts) ->
-            charge t ~time:sum_time t.config.cost_full;
-            Some
-              ( { s_ss = final_ss; s_df = Some (df', final_ss); s_rho = rho';
-                  s_fresh = true },
-                attempts )
-          | None -> None)
-        | Incremental -> (
-          match
-            solve_with_retry t ~seq:summary_seq (fun () ->
-                let prev_df, prev_at = ensure_df t in
-                let df' =
-                  Jacobian.update_flow t.controller ~net:t.net ~prev:prev_df
-                    ~prev_at ~at:final_ss
-                in
-                (df', Jacobian.spectral_radius_incremental df'))
-          with
-          | Some ((df', rho'), attempts) ->
-            charge t ~time:sum_time t.config.cost_incremental;
-            Some
-              ( { s_ss = final_ss; s_df = Some (df', final_ss); s_rho = rho';
-                  s_fresh = true },
-                attempts )
-          | None -> None)
-      in
-      let solved, solver_failed =
-        match solved_final with
-        | Some (s, a) ->
-          attempts_final := a;
-          (s, false)
-        | None ->
-          (* The batch-final DF/rho solve failed under the whole retry
-             envelope: degrade the batch to cached-tier evidence, like
-             serial adds stuck at the ladder floor. *)
-          charge t ~time:sum_time t.config.cost_cached;
-          attempts_final := t.config.retries + 1;
-          ( { s_ss = final_ss; s_df = t.df; s_rho = t.rho; s_fresh = false },
-            true )
-      in
-      let stale = (not solved.s_fresh) || solver_failed in
-      let label = if stale then "cached" else tier_label tier in
-      batch_label := label;
-      if solved.s_rho >= 1. && not stale then begin
-        (* rho crossed 1 somewhere inside the batch: replay the
-           candidates one by one against committed state at the batch's
-           tier — exactly what serial adds would have done — so the
-           greedy serial verdicts (including which member crosses the
-           line) are reproduced. *)
-        fun cand ->
-          (* Serial adds find their slot against committed state: when
-             an earlier replayed member is rejected its slot frees, and
-             the next anonymous member lands on it — re-find rather than
-             reuse the pass-1 assignment.  (Re-finding cannot fail: the
-             committed population is a subset of the tentative one the
-             pass-1 lookup succeeded against.) *)
-          let slot =
-            match find_slot t cand.c_conn with
-            | Ok s -> s
-            | Error _ -> cand.c_slot
-          in
-          let name = t.names.(slot) in
-          let mask = Array.copy t.active in
-          mask.(slot) <- true;
-          match
-            solve_with_retry t ~seq:cand.c_seq (fun () -> solve_mask t tier ~mask)
-          with
-          | None ->
-            t.rejects <- t.rejects + 1;
-            incr rejects;
-            Ffc_obs.Ctx.incr_named "service.rejects";
-            note_tier t ~seq:cand.c_seq "cached";
-            emit_decision t ~seq:cand.c_seq ~op:"add" ~conn:name
-              ~decision:"reject" ~tier:"cached" ~backlog:cand.c_backlog ();
-            add_reply ~seq:cand.c_seq ~name ~decision:"reject"
-              ~tier:"cached" ~reason:"solver_failure" ~rho_fresh:t.rho_fresh
-              ~active:(active_count t) ~attempts:(t.config.retries + 1)
-              ~backlog:cand.c_backlog ~vclock:t.vclock ~batch:k ()
-          | Some (solved, attempts) ->
-            let rate = solved.s_ss.(slot) in
-            let min_ratio = min_ratio_of t ~mask ~rates:solved.s_ss in
-            let reason =
-              if rate < t.config.min_rate then Some "min_rate"
-              else if
-                match min_ratio with
-                | Some r -> r < 1. -. t.config.epsilon
-                | None -> false
-              then Some "min_ratio"
-              else if solved.s_rho >= 1. then Some "rho"
-              else None
-            in
-            (match reason with
-            | None ->
-              commit t ~mask solved;
-              t.admits <- t.admits + 1;
-              incr admits;
-              Ffc_obs.Ctx.incr_named "service.admits"
-            | Some _ ->
-              t.rejects <- t.rejects + 1;
-              incr rejects;
-              Ffc_obs.Ctx.incr_named "service.rejects");
-            let decision = match reason with None -> "admit" | Some _ -> "reject" in
-            let lbl = tier_label tier in
-            note_tier t ~seq:cand.c_seq lbl;
-            emit_decision t ~seq:cand.c_seq ~op:"add" ~conn:name ~decision
-              ~tier:lbl ~rho:solved.s_rho ?min_ratio ~rate
-              ~backlog:cand.c_backlog ();
-            add_reply ~seq:cand.c_seq ~name ~decision ~tier:lbl
-              ?reason ~rate ~rho_v:solved.s_rho ~rho_fresh:t.rho_fresh
-              ?min_ratio ~active:(active_count t) ~attempts
-              ~backlog:cand.c_backlog ~vclock:t.vclock ~batch:k ()
-      end
-      else if solved.s_rho >= 1. then begin
-        (* Stale rho already sits at >= 1 (cached tier or a failed batch
-           solve): serial cached-tier adds would reject every one with
-           reason "rho" without committing — reproduce that verbatim. *)
-        fun cand ->
-          t.rejects <- t.rejects + 1;
-          incr rejects;
-          Ffc_obs.Ctx.incr_named "service.rejects";
-          note_tier t ~seq:cand.c_seq "cached";
-          emit_decision t ~seq:cand.c_seq ~op:"add" ~conn:cand.c_name
-            ~decision:"reject" ~tier:"cached" ~rho:t.rho
-            ?min_ratio:cand.c_min_ratio ~rate:cand.c_rate
-            ~backlog:cand.c_backlog ();
-          add_reply ~seq:cand.c_seq ~name:cand.c_name ~decision:"reject"
-            ~tier:"cached" ~reason:"rho" ~rate:cand.c_rate ~rho_v:t.rho
-            ~rho_fresh:t.rho_fresh ?min_ratio:cand.c_min_ratio
-            ~active:base_active ~attempts:cand.c_attempts
-            ~backlog:cand.c_backlog ~vclock:cand.c_vclock ~batch:k ()
-      end
-      else begin
-        commit ~mutations:!n_cand t ~mask:final_mask solved;
-        t.admits <- t.admits + !n_cand;
-        admits := !n_cand;
-        fun cand ->
-          Ffc_obs.Ctx.incr_named "service.admits";
-          note_tier t ~seq:cand.c_seq label;
-          emit_decision t ~seq:cand.c_seq ~op:"add" ~conn:cand.c_name
-            ~decision:"admit" ~tier:label ~rho:t.rho ?min_ratio:cand.c_min_ratio
-            ~rate:cand.c_rate ~backlog:cand.c_backlog ();
-          add_reply ~seq:cand.c_seq ~name:cand.c_name ~decision:"admit"
-            ~tier:label ~rate:cand.c_rate ~rho_v:t.rho ~rho_fresh:t.rho_fresh
-            ?min_ratio:cand.c_min_ratio ~active:cand.c_active
-            ~attempts:cand.c_attempts ~backlog:cand.c_backlog
-            ~vclock:cand.c_vclock ~batch:k ()
-      end
-    end
+  let summary_seq, sum_time, sum_backlog = arrive t None in
+  let any = !n_cand > 0 in
+  let entry = Option.value !entry ~default:Cached in
+  let tier, rho, df =
+    if any then stability t entry !cur_ss else (Cached, t.rho, None)
   in
-  let member_lines =
-    List.map
-      (function Settled line -> line | Candidate c -> candidate_line c)
-      members
+  charge t ~time:sum_time (if any then cost_of t tier else t.config.cost_shed);
+  let attempts = if any && entry <> Cached then 1 else 0 in
+  (* On a fresh ρ ≥ 1, ρ crossed 1 somewhere inside the batch: the
+     candidates are replayed one by one against committed state at the
+     batch's tier — exactly what serial adds would have done.  Otherwise
+     one verdict covers the whole bracket: commit every candidate, or
+     (ρ ≥ 1 on stale evidence, as serial cached-tier adds would see)
+     reject every one without committing. *)
+  let replay = Option.is_some df && rho >= 1. in
+  if any && not (rho >= 1.) then
+    commit ~mutations:!n_cand t ~mask:!cur_mask ~ss:!cur_ss ~rho df;
+  let settle = function
+    | Settled o -> o
+    | Candidate { draft = d; slot; req } when replay ->
+      (* Serial adds find their slot against committed state, so an
+         anonymous member lands on the slot an earlier rejected one
+         freed (re-finding cannot fail: the committed population is a
+         subset of the tentative one pass 1 succeeded against). *)
+      let slot = Result.value (find_slot_in t t.active req) ~default:slot in
+      admit_one t ~seq:d.seq ~slot ~tier ~backlog:d.backlog ~batch
+    | Candidate { draft = d; _ } ->
+      let reason =
+        verdict t ~rate:(Option.get d.rate) ~min_ratio:d.min_ratio ~rho
+      in
+      decide t
+        {
+          d with
+          reason;
+          tier = tier_label tier;
+          rho_v = Some t.rho;
+          fresh = t.rho_fresh;
+          active_n = (if reason = None then d.active_n else base_active);
+        }
   in
-  let summary_label = !batch_label in
+  let outcomes = List.map settle members in
+  let tally p = List.length (List.filter p outcomes) in
+  let admits = tally (fun o -> snd (served o) = "admit") in
+  let sheds = tally (fun o -> fst (served o) = "shed") in
+  let errors = tally (fun o -> fst (served o) = "error") in
+  let rejects = k - admits - sheds - errors in
   let summary =
     json
       [
@@ -940,186 +598,68 @@ let handle_batch_requests t (adds : Protocol.add list) =
         ("op", jstr "batch");
         ("seq", jint summary_seq);
         ("adds", jint k);
-        ("admits", jint !admits);
-        ("rejects", jint !rejects);
-        ("sheds", jint !sheds);
-        ("errors", jint !errors);
-        ("tier", jstr summary_label);
+        ("admits", jint admits);
+        ("rejects", jint rejects);
+        ("sheds", jint sheds);
+        ("errors", jint errors);
+        ("tier", jstr (tier_label tier));
         ("rho", jnum t.rho);
         ("rho_fresh", jbool t.rho_fresh);
         ("active", jint (active_count t));
-        ("attempts", jint !attempts_final);
+        ("attempts", jint attempts);
         ("backlog", jnum sum_backlog);
         ("vclock", jnum t.vclock);
       ]
   in
   let replies =
-    List.map (fun line -> { line; mutated = false }) member_lines
-    @ [ { line = summary; mutated = !admits > 0 } ]
+    List.map (fun o -> { line = render o; mutated = false }) outcomes
+    @ [ { line = summary; mutated = admits > 0 } ]
   in
-  (replies, summary_label, !admits, !rejects + !errors, !sheds)
-
-let handle_batch ?sid t adds =
-  match Ffc_obs.Ctx.ambient () with
-  | None ->
-    let replies, _, _, _, _ = handle_batch_requests t adds in
-    replies
-  | Some c ->
-    (* One span per batch bracket — the "one rank-k solve" is visible as
-       exactly one svc.batch span wrapping the member decisions. *)
-    let t0 = if Ffc_obs.Ctx.timing c then Unix.gettimeofday () else 0. in
-    let span =
-      Ffc_obs.Span.start
-        ~attrs:
-          ([ ("op", jstr "batch"); ("adds", jint (List.length adds)) ]
-          @ match sid with None -> [] | Some s -> [ ("sid", jint s) ])
-        "svc.batch"
-    in
-    Fun.protect
-      ~finally:(fun () -> if Ffc_obs.Span.on span then Ffc_obs.Span.finish span)
-      (fun () ->
-        let replies, tier, admits, rejects, sheds =
-          handle_batch_requests t adds
-        in
-        if Ffc_obs.Span.on span then
-          Ffc_obs.Span.finish
-            ~attrs:
-              [
-                ("tier", jstr tier);
-                ("admits", jint admits);
-                ("rejects", jint rejects);
-                ("sheds", jint sheds);
-              ]
-            span;
-        let wall =
-          if Ffc_obs.Ctx.timing c then Unix.gettimeofday () -. t0 else 0.
-        in
-        Ffc_obs.Metrics.Histogram.observe
-          (Ffc_obs.Metrics.histogram (Ffc_obs.Ctx.metrics c)
-             ("service.latency." ^ tier))
-          wall;
-        replies)
+  ( replies,
+    tier_label tier,
+    [
+      ("admits", jint admits);
+      ("rejects", jint (rejects + errors));
+      ("sheds", jint sheds);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* remove                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let handle_remove t ~conn ~time =
-  let seq = next_seq t in
-  let time = request_time t time in
-  t.last_time <- time;
-  let backlog = backlog_at t ~time in
+  let seq, time, backlog = arrive t time in
+  let refuse fmt =
+    charge t ~time t.config.cost_shed;
+    Refused { seq; msg = Printf.sprintf fmt conn }
+  in
   match Hashtbl.find_opt t.index_of conn with
-  | None ->
-    charge t ~time t.config.cost_shed;
-    { line = error_line ~seq (Printf.sprintf "unknown connection %S" conn); mutated = false }
-  | Some slot when not t.active.(slot) ->
-    charge t ~time t.config.cost_shed;
-    { line = error_line ~seq (Printf.sprintf "slot %S is not active" conn); mutated = false }
+  | None -> refuse "unknown connection %S"
+  | Some slot when not t.active.(slot) -> refuse "slot %S is not active"
   | Some slot ->
     let mask = Array.copy t.active in
     mask.(slot) <- false;
     (* Departures are never shed — the flow is gone whether or not we
        are overloaded; the ladder only decides how much bookkeeping the
        departure gets. *)
-    let tier0 =
+    let tier =
       if backlog >= t.config.backlog_shed then Cached else pick_tier t ~backlog
     in
-    let tier, solved, attempts =
-      match solve_degrading t ~seq ~mask tier0 with
-      | Some r -> r
-      | None ->
-        (* Every tier's solver failed: deactivate the slot and zero its
-           rate so the population stays consistent; rho goes stale. *)
-        let ss' = Array.copy t.ss in
-        ss'.(slot) <- 0.;
-        (Cached, { s_ss = ss'; s_df = t.df; s_rho = t.rho; s_fresh = false },
-         t.config.retries + 1)
-    in
+    let ss = rates_of t ~prev:t.ss ~prev_active:t.active mask in
+    let tier, rho, df = stability t tier ss in
     charge t ~time (cost_of t tier);
-    commit t ~mask solved;
-    t.removes <- t.removes + 1;
-    Ffc_obs.Ctx.incr_named "service.removes";
-    let label = tier_label tier in
-    note_tier t ~seq label;
-    emit_decision t ~seq ~op:"remove" ~conn ~decision:"ok" ~tier:label
-      ~rho:solved.s_rho ~backlog ();
-    {
-      line =
-        json
-          [
-            ("ok", "true");
-            ("op", jstr "remove");
-            ("seq", jint seq);
-            ("conn", jstr conn);
-            ("decision", jstr "ok");
-            ("tier", jstr label);
-            ("rho", jnum solved.s_rho);
-            ("rho_fresh", jbool t.rho_fresh);
-            ("active", jint (active_count t));
-            ("attempts", jint attempts);
-            ("backlog", jnum backlog);
-            ("vclock", jnum t.vclock);
-          ];
-      mutated = true;
-    }
+    commit t ~mask ~ss ~rho df;
+    decide t
+      (decision t ~op:"remove" ~seq ~slot ~backlog ~batch:None
+         ~tier:(tier_label tier) ~rho_v:rho ())
 
 (* ------------------------------------------------------------------ *)
 (* query                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The active sub-population as a standalone network, for the
-   supervised verdict: gateways unchanged, idle slots dropped, fault
-   targets remapped onto the surviving indices. *)
-let sub_population t =
-  let sub_index = Array.make t.n (-1) in
-  let order = ref [] in
-  let k = ref 0 in
-  Array.iteri
-    (fun i a ->
-      if a then begin
-        sub_index.(i) <- !k;
-        incr k;
-        order := i :: !order
-      end)
-    t.active;
-  let order = Array.of_list (List.rev !order) in
-  let gateways =
-    Array.init (Network.num_gateways t.net) (fun a -> Network.gateway t.net a)
-  in
-  let connections = Array.map (fun i -> Network.connection t.net i) order in
-  let sub_net = Network.create ~gateways ~connections in
-  let adjusters = Array.map (fun i -> (Controller.adjusters t.controller).(i)) order in
-  let sub_controller =
-    Controller.create ~config:(Controller.config t.controller) ~adjusters
-  in
-  let r0 = Array.map (fun i -> t.ss.(i)) order in
-  let specs =
-    List.filter_map
-      (fun { Fault.kind; conns } ->
-        match conns with
-        | None -> Some { Fault.kind; conns = None }
-        | Some l -> (
-          let l' =
-            List.filter_map
-              (fun i ->
-                if i >= 0 && i < t.n && sub_index.(i) >= 0 then Some sub_index.(i)
-                else None)
-              l
-          in
-          match l' with [] -> None | _ -> Some { Fault.kind; conns = Some l' }))
-      t.config.plan.Fault.specs
-  in
-  let sub_plan = Fault.plan ~seed:t.config.plan.Fault.seed specs in
-  (sub_net, sub_controller, r0, sub_plan)
-
 let handle_query t ~time =
-  let seq = next_seq t in
-  let time = request_time t time in
-  t.last_time <- time;
-  let backlog = backlog_at t ~time in
-  t.queries <- t.queries + 1;
-  Ffc_obs.Ctx.incr_named "service.queries";
+  let seq, time, backlog = arrive t time in
+  bump t "queries";
   (* Read-only verbs are never refused: past the shed threshold the
      query is answered from the last committed state at shed cost (no
      solver work at all); in the cached band the verdict machinery is
@@ -1127,16 +667,27 @@ let handle_query t ~time =
      [stale=true] so callers know the verdict was withheld. *)
   let shed = backlog >= t.config.backlog_shed in
   let degraded = backlog >= t.config.backlog_cached in
-  let verdict =
-    if degraded || active_count t = 0 then None
-    else begin
-      let sub_net, sub_controller, r0, sub_plan = sub_population t in
-      let v =
-        Supervisor.run ~escape:t.config.escape ~retries:t.config.sup_retries
-          ~plan:sub_plan sub_controller ~net:sub_net ~r0
+  let health =
+    if degraded || active_count t = 0 then "null"
+    else
+      (* The supervised verdict runs on the active sub-population as a
+         standalone network: gateways unchanged, idle slots dropped,
+         fault targets remapped onto the surviving indices. *)
+      let keep = active_slots t in
+      let pick a = Array.map (fun i -> a.(i)) keep in
+      let net =
+        Network.create
+          ~gateways:(Array.init (Network.num_gateways t.net) (Network.gateway t.net))
+          ~connections:(Array.map (Network.connection t.net) keep)
       in
-      Some (Supervisor.verdict_to_json v)
-    end
+      let controller =
+        Controller.create ~config:(Controller.config t.controller)
+          ~adjusters:(pick (Controller.adjusters t.controller))
+      in
+      Supervisor.verdict_to_json
+        (Supervisor.run ~escape:t.config.escape ~retries:t.config.sup_retries
+           ~plan:(Fault.restrict t.config.plan ~keep) controller ~net
+           ~r0:(pick t.ss))
   in
   charge t ~time
     (if shed then t.config.cost_shed
@@ -1145,60 +696,56 @@ let handle_query t ~time =
   let tier =
     if shed then "shed" else if degraded then "cached" else t.last_tier
   in
-  {
-    line =
-      json
-        ([
-           ("ok", "true");
-           ("op", jstr "query");
-           ("seq", jint seq);
-           ("active", jint (active_count t));
-           ("rho", jnum t.rho);
-           ("rho_fresh", jbool t.rho_fresh);
-           ("tier", jstr tier);
-         ]
-        @ (if degraded then [ ("stale", "true") ] else [])
-        @ [
-            ("backlog", jnum backlog);
-            ("vclock", jnum t.vclock);
-            ("verdict", match verdict with None -> "null" | Some v -> v);
-          ]);
-    mutated = false;
-  }
+  let line =
+    json
+      ([
+         ("ok", "true");
+         ("op", jstr "query");
+         ("seq", jint seq);
+         ("active", jint (active_count t));
+         ("rho", jnum t.rho);
+         ("rho_fresh", jbool t.rho_fresh);
+         ("tier", jstr tier);
+       ]
+      @ (if degraded then [ ("stale", "true") ] else [])
+      @ [
+          ("backlog", jnum backlog);
+          ("vclock", jnum t.vclock);
+          ("verdict", health);
+        ])
+  in
+  Read { tier; line }
 
 let handle_stats t ~time =
-  let seq = next_seq t in
-  let time = request_time t time in
-  t.last_time <- time;
-  let backlog = backlog_at t ~time in
+  let seq, _, backlog = arrive t time in
   (* Counters are always live — a stats probe is how an operator watches
      an overloaded daemon, so it is free (no vclock charge) and never
      shed; past the shed threshold the reply is merely tagged stale. *)
   let overloaded = backlog >= t.config.backlog_shed in
-  {
-    line =
-      json
-        ([
-           ("ok", "true");
-           ("op", jstr "stats");
-           ("seq", jint seq);
-           ("active", jint (active_count t));
-           ("mutations", jint t.mutation_count);
-           ("tier", jstr (if overloaded then "shed" else t.last_tier));
-         ]
-        @ (if overloaded then [ ("stale", "true") ] else [])
-        @ [
-            ("rho", jnum t.rho);
-            ("rho_fresh", jbool t.rho_fresh);
-            ("backlog", jnum backlog);
-            ("vclock", jnum t.vclock);
-          ]
-        @ List.map (fun (k, v) -> (k, jint v)) (counters t));
-    mutated = false;
-  }
+  let tier = if overloaded then "shed" else t.last_tier in
+  let line =
+    json
+      ([
+         ("ok", "true");
+         ("op", jstr "stats");
+         ("seq", jint seq);
+         ("active", jint (active_count t));
+         ("mutations", jint t.mutation_count);
+         ("tier", jstr tier);
+       ]
+      @ (if overloaded then [ ("stale", "true") ] else [])
+      @ [
+          ("rho", jnum t.rho);
+          ("rho_fresh", jbool t.rho_fresh);
+          ("backlog", jnum backlog);
+          ("vclock", jnum t.vclock);
+        ]
+      @ List.map (fun (k, v) -> (k, jint v)) (counters t))
+  in
+  Read { tier; line }
 
 let dispatch t = function
-  | Protocol.Add { conn; time; size } -> handle_add t ~conn ~time ~size
+  | Protocol.Add add -> handle_add t add
   | Protocol.Remove { conn; time } -> handle_remove t ~conn ~time
   | Protocol.Query { time } -> handle_query t ~time
   | Protocol.Stats { time } -> handle_stats t ~time
@@ -1209,70 +756,42 @@ let dispatch t = function
     invalid_arg
       "Admission.handle: metrics/snapshot/shutdown are server-level requests"
 
-let op_of = function
-  | Protocol.Add _ -> "add"
-  | Protocol.Batch_begin -> "batch"
-  | Protocol.Batch_end -> "end"
-  | Protocol.Remove _ -> "remove"
-  | Protocol.Query _ -> "query"
-  | Protocol.Stats _ -> "stats"
-  | Protocol.Metrics _ -> "metrics"
-  | Protocol.Snapshot -> "snapshot"
-  | Protocol.Shutdown -> "shutdown"
-
-(* The reply line is the source of truth for how the request was served
-   — scrape tier/decision back out of it rather than threading them
-   through every handler. *)
-let tier_of_reply line =
-  match Protocol.json_string_field line ~key:"tier" with
-  | Some tier -> tier
-  | None -> "error"
-
-let decision_of_reply line =
-  match Protocol.json_string_field line ~key:"decision" with
-  | Some d -> d
-  | None -> (
-    match Protocol.json_string_field line ~key:"error" with
-    | Some _ -> "error"
-    | None -> "ok")
-
-let handle ?sid t req =
+(* One root span per request or bracket, ended with the served tier and
+   [f]'s attributes, plus the per-tier latency histogram, which shares
+   the span's wall clock and, like it, reads zero under
+   --trace-deterministic. *)
+let instrumented ?sid ~name ~attrs f =
   match Ffc_obs.Ctx.ambient () with
-  | None -> dispatch t req
+  | None ->
+    let r, _, _ = f () in
+    r
   | Some c ->
-    (* One span per request, tagged with the served tier and the
-       decision once the reply is known; the latency histogram shares
-       the span's wall clock and, like it, reads zero under
-       --trace-deterministic. *)
-    let t0 = if Ffc_obs.Ctx.timing c then Unix.gettimeofday () else 0. in
-    let span =
-      Ffc_obs.Span.start
-        ~attrs:
-          ([ ("op", jstr (op_of req)) ]
-          @ match sid with None -> [] | Some s -> [ ("sid", jint s) ])
-        "svc.request"
-    in
+    let timing = Ffc_obs.Ctx.timing c in
+    let t0 = if timing then Unix.gettimeofday () else 0. in
+    let sid = Option.to_list (Option.map (fun s -> ("sid", jint s)) sid) in
+    let span = Ffc_obs.Span.start ~attrs:(attrs @ sid) name in
     Fun.protect
-      ~finally:(fun () -> if Ffc_obs.Span.on span then Ffc_obs.Span.finish span)
+      ~finally:(fun () -> Ffc_obs.Span.finish span)
       (fun () ->
-        let reply = dispatch t req in
-        let tier = tier_of_reply reply.line in
-        if Ffc_obs.Span.on span then
-          Ffc_obs.Span.finish
-            ~attrs:
-              [
-                ("tier", jstr tier);
-                ("decision", jstr (decision_of_reply reply.line));
-              ]
-            span;
-        let wall =
-          if Ffc_obs.Ctx.timing c then Unix.gettimeofday () -. t0 else 0.
-        in
+        let r, tier, end_attrs = f () in
+        Ffc_obs.Span.finish ~attrs:(("tier", jstr tier) :: end_attrs) span;
         Ffc_obs.Metrics.Histogram.observe
           (Ffc_obs.Metrics.histogram (Ffc_obs.Ctx.metrics c)
              ("service.latency." ^ tier))
-          wall;
-        reply)
+          (if timing then Unix.gettimeofday () -. t0 else 0.);
+        r)
+
+let handle ?sid t req =
+  instrumented ?sid ~name:"svc.request" ~attrs:[ ("op", jstr (Protocol.verb req)) ]
+    (fun () ->
+      let o = dispatch t req in
+      let tier, decision = served o in
+      ({ line = render o; mutated = mutated o }, tier, [ ("decision", jstr decision) ]))
+
+let handle_batch ?sid t adds =
+  instrumented ?sid ~name:"svc.batch"
+    ~attrs:[ ("op", jstr "batch"); ("adds", jint (List.length adds)) ]
+    (fun () -> handle_batch_requests t adds)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot integration                                                *)
@@ -1304,7 +823,14 @@ let restore t (s : Snapshot.state) =
   else begin
     t.active <- Array.copy s.Snapshot.active;
     t.ss <- Array.copy s.Snapshot.rates;
-    t.df <- None;
+    (* DF is rebuilt here, outside any request, so the first request
+       after a restart patches it as the uninterrupted engine would; if
+       it fails the current base stays (any DF and its point will do). *)
+    (match Jacobian.of_controller_sparse t.controller ~net:t.net ~at:t.ss with
+    | df ->
+      t.df <- df;
+      t.df_at <- t.ss
+    | exception Failure _ -> ());
     t.rho <- s.Snapshot.rho;
     t.rho_fresh <- s.Snapshot.rho_fresh;
     t.vclock <- s.Snapshot.vclock;
@@ -1312,19 +838,9 @@ let restore t (s : Snapshot.state) =
     t.seq_counter <- s.Snapshot.seq;
     t.mutation_count <- s.Snapshot.mutations;
     t.last_tier <- s.Snapshot.last_tier;
-    let lookup k = match List.assoc_opt k s.Snapshot.counters with Some v -> v | None -> 0 in
-    t.admits <- lookup "admits";
-    t.rejects <- lookup "rejects";
-    t.sheds <- lookup "sheds";
-    t.removes <- lookup "removes";
-    t.queries <- lookup "queries";
-    t.degrades <- lookup "degrades";
-    t.recovers <- lookup "recovers";
-    t.backoffs <- lookup "backoffs";
-    t.served_full <- lookup "served_full";
-    t.served_incremental <- lookup "served_incremental";
-    t.served_cached <- lookup "served_cached";
-    t.served_shed <- lookup "served_shed";
-    ignore counter_order;
+    List.iter
+      (fun (k, v) ->
+        v := Option.value (List.assoc_opt k s.Snapshot.counters) ~default:0)
+      t.counts;
     Ok ()
   end

@@ -1,4 +1,4 @@
-(** The online admission-control engine (ROADMAP item 2).
+(** The online admission-control engine.
 
     A long-running gateway service over a fixed universe of connection
     slots: [add] activates an idle slot (a flow arrives), [remove]
@@ -17,22 +17,28 @@
     Rejected flows are discarded at ingress — engine state is
     untouched.
 
+    {b One pipeline.}  Every request computes the candidate rates with
+    {!Ffc_core.Steady_state.update_fair} and the candidate DF with
+    {!Ffc_core.Jacobian.update_flow}, patching the committed DF, which
+    always exists: {!create} builds it at the idle point and {!restore}
+    at the restored rates.  Both patches are bit-for-bit the
+    from-scratch solves.  The served tier only decides how ρ(DF) is
+    obtained.
+
     {b The degradation ladder.}  Work is accounted on a logical clock:
     each request carries an arrival time [t] (stamped by the churn
     driver) and each served tier has a logical cost; the {e backlog}
     [vclock − t] measures overload.  As it grows the engine degrades,
     tier by tier, and every response records the tier that served it:
 
-    - {b full}: from-scratch steady state + sparse DF + exact spectral
-      radius (idle default — the most accurate answer);
-    - {b incremental}: O(churn) patches —
-      {!Ffc_core.Steady_state.update_fair} /
-      {!Ffc_core.Jacobian.update_flow} /
-      [spectral_radius_incremental] — bit-identical to full by the PR-6
-      contract, at a fraction of the cost;
-    - {b cached}: exact incremental rates, but ρ(DF) is the cached
-      previous estimate ([rho_fresh = false] in responses) — no Jacobian
-      work at all;
+    - {b full}: patched rates and DF, exact spectral radius (idle
+      default — the most accurate answer);
+    - {b incremental}: patched rates and DF, with the cheap
+      [spectral_radius_incremental] estimate (structural diagonal or a
+      cross-checked power iteration);
+    - {b cached}: patched rates, but ρ(DF) is the cached previous
+      value ([rho_fresh = false] in responses) — no Jacobian work at
+      all;
     - {b shed}: beyond the last threshold an [add] is rejected at
       ingress without touching the solvers (removals are never shed —
       departures must always be processed).
@@ -40,17 +46,12 @@
     When the backlog drains the ladder steps back up; transitions are
     counted and traced ([svc.degrade]/[svc.recover]).
 
-    {b Robustness envelope.}  Every solve is wrapped in a bounded retry
-    loop with deterministic jittered exponential backoff — the jitter
-    derives from [(seed, seq)], so two runs of the same request stream
-    back off identically.  A tier whose solve keeps failing degrades to
-    the next tier; a request that exhausts the whole ladder is rejected
-    (add) or answered from patched rates alone (remove).  The optional
-    per-solve [timeout] is {e observational}: a solve that finishes
-    after the deadline keeps its result (the work is done — discarding
-    it would re-pay the whole solve) and the overrun is counted only in
-    the ambient metrics registry ([service.timeouts]), which sits
-    outside the determinism contract like the latency histograms.
+    {b Degrade on [Failure].}  Solves are deterministic, so they are
+    never retried.  A DF or ρ solve that raises [Failure] (a
+    non-finite adjuster output, QR non-convergence) steps the request
+    one rung down — full → incremental → cached — and the cached rung
+    cannot fail.  Every solved reply reports [attempts = 1]; a shed one
+    reports 0.
 
     {b Batched admission.}  {!handle_batch} admits a whole bracket of
     adds as one rank-k solve: member rates come from a chain of
@@ -66,7 +67,7 @@
     Determinism contract: every response line is a pure function of the
     request stream and the configuration — byte-identical at any
     [--jobs], across restarts from a snapshot, and across cache
-    cold/warm runs; [timeout] no longer weakens this. *)
+    cold/warm runs. *)
 
 open Ffc_topology
 open Ffc_core
@@ -90,14 +91,6 @@ type config = {
   cost_cached : float;
   cost_shed : float;  (** ...including the cost of saying no. *)
   cost_query : float;
-  timeout : float;  (** Per-solve wall-clock deadline, seconds; 0 = off.
-                        Observational only: overruns are counted in the
-                        metrics registry, never reflected in replies. *)
-  retries : int;  (** Backoff retries per solve. *)
-  backoff_base : float;  (** Base backoff delay, seconds. *)
-  sleep_backoff : bool;  (** Really sleep between retries (daemon mode);
-                             off in tests so retried runs stay fast. *)
-  seed : int;  (** Backoff-jitter seed. *)
   plan : Fault.plan;  (** Fault plan for [query]'s supervised verdict. *)
   sup_retries : int;  (** Supervisor damping retries for [query]. *)
   escape : float;  (** Supervisor divergence threshold for [query]. *)
@@ -106,24 +99,15 @@ type config = {
 val default_config : config
 (** linear-fractional signal, b_SS 0.5, ε 1e-6, min_rate 0, ladder at
     backlog 0.5 / 2 / 8 logical seconds with costs 0.05 / 0.01 / 0.002 /
-    5e-4 (query 0.05), timeout off, 2 retries at base 0.05 s without
-    sleeping, seed 0, empty fault plan. *)
+    5e-4 (query 0.05), empty fault plan, 3 supervisor retries. *)
 
 type t
 
-val create :
-  ?config:config ->
-  ?failure_hook:(seq:int -> attempt:int -> bool) ->
-  ?slow_hook:(seq:int -> attempt:int -> float) ->
-  Controller.t ->
-  net:Network.t ->
-  t
-(** A fresh engine over [net]'s slots, all idle.  [failure_hook] is a
-    test seam: returning [true] makes that solve attempt fail as a
-    transient solver error (exercises timeout/backoff/degrade paths).
-    [slow_hook] is the timeout test seam: the returned duration (in
-    seconds, > 0) is slept before that solve attempt runs, so a test
-    can make a solve overrun [config.timeout] without faking clocks. *)
+val create : ?config:config -> Controller.t -> net:Network.t -> t
+(** A fresh engine over [net]'s slots, all idle, with DF built at the
+    idle point.  Raises [Invalid_argument] on a malformed configuration,
+    and when that DF raises [Failure] (idle slots sit at rate 0 in every
+    DF, so such an engine could never compute one). *)
 
 type reply = { line : string; mutated : bool }
 (** One response line (no trailing newline) and whether the request
@@ -156,8 +140,8 @@ val handle_batch : ?sid:int -> t -> Protocol.add list -> reply list
     bracket size, then a trailing batch summary
     ([op = "batch"], member tallies, the batch tier and ρ).  Member
     tiers never leave the full/incremental/cached/shed vocabulary:
-    admitted members report the batch's entry tier ("cached" when the
-    stability evidence is stale), per-member rejections report
+    admitted members report the tier that served the batch's stability
+    check ("cached" when its evidence is stale), per-member rejections report
     ["cached"] (they only received patch work).  When an ambient
     {!Ffc_obs.Ctx} is installed the whole bracket runs under a single
     ["svc.batch"] span — the observable witness that a batch of K adds
@@ -179,8 +163,8 @@ val mutations : t -> int
 val vclock : t -> float
 val config_digest : t -> string
 (** Hex fingerprint of everything that must match for a snapshot to be
-    restorable: topology, adjusters, signal, thresholds, costs, seeds,
-    fault plan. *)
+    restorable: topology, adjusters, signal, thresholds, costs,
+    supervisor settings, fault plan. *)
 
 (** {2 Snapshot integration} *)
 
@@ -189,5 +173,9 @@ val state : t -> Snapshot.state
 
 val restore : t -> Snapshot.state -> (unit, string) result
 (** Adopt a snapshot taken by an identically-configured engine; refuses
-    (with a message) on digest or size mismatch.  The Jacobian cache is
-    rebuilt lazily — bit-identically — on first incremental use. *)
+    (with a message) on digest or size mismatch.  DF is rebuilt at the
+    restored rates before the first request, so the resumed engine
+    serves — and traces — exactly as the uninterrupted one.  Where that
+    DF raises [Failure] the engine keeps its current DF as the patch
+    base, and requests degrade to cached as they would have before the
+    restart. *)

@@ -121,6 +121,17 @@ let render = function
   | Snapshot -> "snapshot"
   | Shutdown -> "shutdown"
 
+let verb = function
+  | Add _ -> "add"
+  | Batch_begin -> "batch"
+  | Batch_end -> "end"
+  | Remove _ -> "remove"
+  | Query _ -> "query"
+  | Stats _ -> "stats"
+  | Metrics _ -> "metrics"
+  | Snapshot -> "snapshot"
+  | Shutdown -> "shutdown"
+
 (* ------------------------------------------------------------------ *)
 (* Response scraping                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -59,6 +59,10 @@ val render : request -> string
 (** The canonical request line for [req] — [parse (render r)] is [Ok r].
     Used by the churn driver. *)
 
+val verb : request -> string
+(** The request's verb, the first word of its line (["add"], ["batch"],
+    ["end"], ...). *)
+
 (** {2 Response scraping}
 
     Minimal field extraction from the service's own flat JSON responses

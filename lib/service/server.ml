@@ -31,18 +31,7 @@ let recover t =
           Ok true
         | Error e -> Error e))
 
-let json fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Ffc_obs.Jsonf.add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let json = Ffc_obs.Jsonf.obj
 
 let jstr = Ffc_obs.Jsonf.string
 
@@ -212,15 +201,6 @@ let handle_session_line t s line =
         in
         if mutated then maybe_snapshot t;
         `Replies [ reply ])
-
-let handle_line t line =
-  (* Bracketless compatibility entry point: each call runs in a throwaway
-     session, so batch brackets cannot span calls (use
-     {!handle_session_line} for that). *)
-  match handle_session_line t (new_session ()) line with
-  | `Silent -> `Silent
-  | `Replies rs -> `Reply (String.concat "\n" rs)
-  | `Quit rs -> `Quit (String.concat "\n" rs)
 
 let run_script t lines =
   let s = new_session () in

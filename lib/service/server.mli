@@ -69,11 +69,6 @@ val handle_session_line :
     once.  [`Quit] carries the final replies — shutdown after writing
     them. *)
 
-val handle_line : t -> string -> [ `Reply of string | `Silent | `Quit of string ]
-(** Bracketless compatibility entry point: one throwaway session per
-    call (batch brackets cannot span calls); multi-line replies are
-    newline-joined.  Prefer {!handle_session_line}. *)
-
 val run_script : t -> string list -> string list
 (** Feed lines through {!handle_session_line} on a single fresh session
     (so [batch ... end] brackets work), collecting replies; stops after

@@ -13,9 +13,9 @@
     The [digest] field fingerprints the engine's configuration
     (topology, adjusters, signal, admission thresholds); {!Admission}
     refuses to restore a snapshot taken under a different
-    configuration.  The Jacobian cache is deliberately {e not}
-    persisted: it is recomputed (bit-identically, and warm from the
-    result cache when one is installed) on first use after restart. *)
+    configuration.  DF is deliberately {e not} persisted: {!Admission}
+    rebuilds it (bit-identically, and warm from the result cache when
+    one is installed) at the restored rates while restoring. *)
 
 type state = {
   digest : string;  (** Config fingerprint (hex). *)

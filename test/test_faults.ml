@@ -57,6 +57,24 @@ let test_plan_validation () =
     (Fault.plan [ Fault.on [ 1 ] (Fault.Stale { lag = 2 }) ])
     ~net
 
+(* The plan as the sub-population {1, 3, 4} of five slots sees it. *)
+let test_restrict () =
+  let plan =
+    Fault.plan ~seed:7
+      [
+        Fault.on [ 0; 3 ] Fault.Dead;
+        Fault.everywhere (Fault.Lossy { p = 0.5 });
+        Fault.on [ 2 ] (Fault.Stale { lag = 1 });
+        Fault.on [ 4; 1 ] (Fault.Stale { lag = 2 });
+      ]
+  in
+  let r = Fault.restrict plan ~keep:[| 1; 3; 4 |] in
+  Alcotest.(check int) "seed kept" 7 r.Fault.seed;
+  Alcotest.(check (list (option (list int))))
+    "targets renumbered, specs left untargeted dropped"
+    [ Some [ 1 ]; None; Some [ 2; 0 ] ]
+    (List.map (fun s -> s.Fault.conns) r.Fault.specs)
+
 let test_empty_plan_is_exact () =
   (* The unfaulted path must be bit-identical to Controller.step, not
      merely close. *)
@@ -437,6 +455,7 @@ let suites =
         case "validation" test_plan_validation;
         case "flap validation" test_flap_validation;
         case "misbehaving and describe" test_misbehaving_and_describe;
+        case "restrict to a sub-population" test_restrict;
       ] );
     ( "faults.injector",
       [

@@ -45,27 +45,31 @@ let test_exception_propagates () =
            (fun i -> if i = 2 then failwith "task boom" else i)
            (Array.init 4 Fun.id)))
 
+(* Alcotest is not domain-safe: tasks only return what they saw, and
+   the assertions run after the join. *)
 let test_nested_rejected () =
   (* Spawning a pool from inside a pool task must raise Nested... *)
-  let verdicts =
+  let seen =
     Pool.parallel_map ~jobs:2
       (fun _ ->
-        check_true "task runs on a worker" (Pool.in_worker ());
-        match Pool.parallel_map ~jobs:2 Fun.id [| 1; 2; 3 |] with
-        | _ -> false
-        | exception Pool.Nested -> true)
+        ( Pool.in_worker (),
+          match Pool.parallel_map ~jobs:2 Fun.id [| 1; 2; 3 |] with
+          | _ -> false
+          | exception Pool.Nested -> true ))
       (Array.init 8 Fun.id)
   in
   Array.iteri
-    (fun i ok -> check_true (Printf.sprintf "task %d saw Nested" i) ok)
-    verdicts;
+    (fun i (on_worker, nested) ->
+      check_true (Printf.sprintf "task %d runs on a worker" i) on_worker;
+      check_true (Printf.sprintf "task %d saw Nested" i) nested)
+    seen;
   check_true "flag cleared after the pool drains" (not (Pool.in_worker ()))
 
 let test_nested_sequential_allowed () =
   (* ... but sequential execution (effective_jobs collapses to 1 inside
      a worker) composes fine — this is how run_all over experiments that
      themselves sweep in parallel stays safe. *)
-  let sums =
+  let seen =
     Pool.parallel_map ~jobs:2
       (fun i ->
         let inner =
@@ -74,13 +78,14 @@ let test_nested_sequential_allowed () =
             (fun j -> (10 * i) + j)
             [| 1; 2; 3 |]
         in
-        Alcotest.(check int) "inner collapses to 1 job" 1 (Pool.effective_jobs ());
-        Array.fold_left ( + ) 0 inner)
+        (Pool.effective_jobs (), Array.fold_left ( + ) 0 inner))
       (Array.init 6 Fun.id)
   in
   Array.iteri
-    (fun i s -> Alcotest.(check int) (Printf.sprintf "sum %d" i) ((30 * i) + 6) s)
-    sums
+    (fun i (jobs, s) ->
+      Alcotest.(check int) "inner collapses to 1 job" 1 jobs;
+      Alcotest.(check int) (Printf.sprintf "sum %d" i) ((30 * i) + 6) s)
+    seen
 
 let test_default_jobs () =
   let saved = Pool.default_jobs () in

@@ -12,13 +12,13 @@ open Test_util
 
 let additive = Rate_adjust.additive ~eta:0.1 ~beta:0.5
 
-let make_engine ?(config = Admission.default_config) ?failure_hook ?slow_hook
-    ?(adjuster = additive) ?(n = 3) () =
-  let net = Topologies.single ~mu:1. ~n () in
+let make_engine ?(config = Admission.default_config) ?(adjuster = additive)
+    ?(n = 3) ?(net = Topologies.single ~mu:1. ~n ()) () =
   let controller =
-    Controller.homogeneous ~config:Feedback.individual_fair_share ~adjuster ~n
+    Controller.homogeneous ~config:Feedback.individual_fair_share ~adjuster
+      ~n:(Network.num_connections net)
   in
-  (Admission.create ~config ?failure_hook ?slow_hook controller ~net, net)
+  (Admission.create ~config controller ~net, net)
 
 let scrape_str line key =
   match Protocol.json_string_field line ~key with
@@ -64,9 +64,13 @@ let test_protocol_roundtrip () =
   in
   List.iter
     (fun r ->
-      match Protocol.parse (Protocol.render r) with
-      | Ok r' -> check_true (Protocol.render r) (r = r')
-      | Error e -> Alcotest.failf "%s: %s" (Protocol.render r) e)
+      let line = Protocol.render r in
+      (match Protocol.parse line with
+      | Ok r' -> check_true line (r = r')
+      | Error e -> Alcotest.failf "%s: %s" line e);
+      Alcotest.(check string)
+        (line ^ ": verb") (List.hd (String.split_on_char ' ' line))
+        (Protocol.verb r))
     reqs;
   let rejects line =
     match Protocol.parse line with Ok _ -> false | Error _ -> true
@@ -288,76 +292,68 @@ let test_stats_free_and_never_shed () =
     +. scrape_num s2 "served_cached")
 
 (* ------------------------------------------------------------------ *)
-(* Robustness envelope: retries, backoff, solver failure               *)
+(* Solver failure: one attempt per rung, degrade to cached             *)
 (* ------------------------------------------------------------------ *)
 
-let test_backoff_retry_deterministic () =
-  (* First attempt of every even-seq solve fails transiently: the retry
-     must succeed, the reply must record 2 attempts, and two engines
-     with the same hook must produce byte-identical logs. *)
-  let hook ~seq ~attempt = attempt = 0 && seq mod 2 = 0 in
-  let script = [ "add t=0.1"; "add t=0.2"; "query t=0.3"; "remove conn0 t=0.4" ] in
-  let run () =
-    let engine, _ = make_engine ~failure_hook:hook ~n:4 () in
-    let lines = List.map (handle_line engine) script in
-    (lines, handle_line engine "stats")
-  in
-  let lines_a, stats_a = run () in
-  let lines_b, stats_b = run () in
-  Alcotest.(check (list string)) "byte-identical decision log" lines_a lines_b;
-  Alcotest.(check string) "byte-identical counters" stats_a stats_b;
-  check_true "backoffs happened" (scrape_num stats_a "backoffs" >= 1.);
-  let retried = List.nth lines_a 1 in
-  Alcotest.(check string) "seq 2 retried" "2" (Printf.sprintf "%g" (scrape_num retried "attempts"));
-  Alcotest.(check string) "still admitted" "admit" (scrape_str retried "decision")
+(* Finite at rate 0 (so DF at the idle point exists) but not above 0.3:
+   any DF at a population where some flow runs faster raises
+   [Failure], exactly as it would on every retry. *)
+let cliff =
+  Rate_adjust.make ~name:"cliff" (fun ~r ~b ~d:_ ->
+      if r > 0.3 then Float.nan else 0.1 *. (0.5 -. b))
 
-let test_solver_failure_degrades_then_rejects () =
-  (* Every solve attempt for seq 2 fails: the add must walk the whole
-     ladder, give up, and reject without corrupting state. *)
-  let hook ~seq ~attempt:_ = seq = 2 in
-  let engine, _ = make_engine ~failure_hook:hook ~n:4 () in
+let test_solver_failure_degrades_to_cached () =
+  let engine, net = make_engine ~adjuster:cliff ~n:4 () in
+  (* Alone on the unit link the newcomer runs at 0.5: full and
+     incremental both fail on DF, the cached rung serves it. *)
   let r1 = handle_line engine "add t=0.1" in
-  Alcotest.(check string) "first add fine" "admit" (scrape_str r1 "decision");
+  Alcotest.(check string) "served from the cached rung" "cached" (scrape_str r1 "tier");
+  Alcotest.(check string) "admitted on the committed rho" "admit"
+    (scrape_str r1 "decision");
+  check_float ~tol:0. "one attempt" 1. (scrape_num r1 "attempts");
+  Alcotest.(check (option bool))
+    "rho flagged stale" (Some false)
+    (Protocol.json_bool_field r1 ~key:"rho_fresh");
+  check_true "state intact: exact rates"
+    (Admission.rates engine
+    = Steady_state.fair_masked ~signal:Signal.linear_fractional ~b_ss:0.5 ~net
+        ~active:[| true; false; false; false |]);
+  (* Two flows at 0.25 each: DF is finite again and the full tier is
+     back, patching from the DF the engine kept. *)
   let r2 = handle_line engine "add t=0.2" in
-  Alcotest.(check string) "rejected" "reject" (scrape_str r2 "decision");
-  Alcotest.(check string) "reason: solver" "solver_failure" (scrape_str r2 "reason");
-  Alcotest.(check int) "population intact" 1 (Admission.active_count engine);
-  (* The next request works again. *)
-  let r3 = handle_line engine "add t=0.3" in
-  Alcotest.(check string) "back to normal" "admit" (scrape_str r3 "decision")
+  Alcotest.(check string) "full tier again" "full" (scrape_str r2 "tier");
+  Alcotest.(check string) "admitted" "admit" (scrape_str r2 "decision");
+  let stats = handle_line engine "stats" in
+  check_float ~tol:0. "the failure counted as a degrade" 1.
+    (scrape_num stats "degrades");
+  check_float ~tol:0. "and the next request as a recovery" 1.
+    (scrape_num stats "recovers");
+  (* A bracket's single stability check degrades the same way. *)
+  let engine, _ = make_engine ~adjuster:cliff ~n:4 () in
+  let replies =
+    List.map
+      (fun r -> r.Admission.line)
+      (Admission.handle_batch engine
+         [ { Protocol.conn = None; time = Some 0.1; size = None } ])
+  in
+  let member = List.nth replies 0 and summary = List.nth replies 1 in
+  Alcotest.(check string) "bracket check cached" "cached" (scrape_str summary "tier");
+  check_float ~tol:0. "bracket check attempted once" 1.
+    (scrape_num summary "attempts");
+  Alcotest.(check string) "member admitted" "admit" (scrape_str member "decision");
+  Alcotest.(check string) "member cached" "cached" (scrape_str member "tier");
+  Alcotest.(check int) "committed" 1 (Admission.active_count engine);
+  check_float ~tol:0. "degrade counted" 1.
+    (scrape_num (handle_line engine "stats") "degrades")
 
-let test_timeout_keeps_late_result () =
-  (* Regression: a solve that finishes after the per-solve deadline used
-     to be discarded and retried, so enabling [timeout] changed the
-     decision log.  Now the late result is kept — the overrun is only
-     counted in the ambient metrics registry. *)
-  let slow ~seq ~attempt:_ = if seq = 2 then 0.02 else 0. in
-  let config = { Admission.default_config with timeout = 0.002 } in
-  let script = [ "add t=0.1"; "add t=0.2"; "add t=0.3"; "stats" ] in
-  let run engine = List.map (handle_line engine) script in
-  let metrics = Ffc_obs.Metrics.create () in
-  let slow_engine, _ = make_engine ~config ~slow_hook:slow ~n:4 () in
-  let slow_log =
-    Ffc_obs.Ctx.with_ctx (Ffc_obs.Ctx.make ~metrics ()) (fun () ->
-        run slow_engine)
+let test_create_refuses_failing_idle_df () =
+  let nowhere =
+    Rate_adjust.make ~name:"nowhere" (fun ~r:_ ~b:_ ~d:_ -> Float.infinity)
   in
-  let fast_engine, _ = make_engine ~config ~n:4 () in
-  let fast_log = run fast_engine in
-  Alcotest.(check (list string))
-    "overrunning the deadline does not change the decision log" slow_log
-    fast_log;
-  let late = List.nth slow_log 1 in
-  Alcotest.(check string) "late result kept" "admit" (scrape_str late "decision");
-  check_float ~tol:0. "no retry was spent" 1. (scrape_num late "attempts");
-  (* The overrun was counted — outside the deterministic reply stream. *)
-  let timeouts =
-    Ffc_obs.Metrics.Counter.value
-      (Ffc_obs.Metrics.counter metrics "service.timeouts")
-  in
-  Alcotest.(check int) "overrun counted once" 1 timeouts;
-  (* The stats reply no longer reports a timeouts counter at all. *)
-  check_true "timeouts are off the deterministic path"
-    (not (contains (List.nth slow_log 3) "timeouts"))
+  match make_engine ~adjuster:nowhere ~n:2 () with
+  | _ -> Alcotest.fail "an adjuster failing at the idle point must be refused"
+  | exception Invalid_argument msg ->
+    check_true "says why" (contains msg "idle point")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across --jobs                                           *)
@@ -488,25 +484,29 @@ let test_restart_resumes_bit_identically () =
 (* Server dispatch                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The single reply to [line] on session [s]. *)
+let reply_to server s line =
+  match Server.handle_session_line server s line with
+  | `Replies [ r ] | `Quit [ r ] -> r
+  | _ -> Alcotest.failf "%s: expected exactly one reply" line
+
 let test_server_dispatch () =
   let engine, _ = make_engine ~n:2 () in
   let server = Server.create engine in
-  (match Server.handle_line server "   " with
+  let s = Server.new_session () in
+  (match Server.handle_session_line server s "   " with
   | `Silent -> ()
   | _ -> Alcotest.fail "blank lines are silent");
-  (match Server.handle_line server "# hello" with
+  (match Server.handle_session_line server s "# hello" with
   | `Silent -> ()
   | _ -> Alcotest.fail "comments are silent");
   (* Parse errors still consume a sequence number, keeping replayed
      logs aligned. *)
-  (match Server.handle_line server "bogus" with
-  | `Reply r ->
-    check_true "error reply" (contains r "\"ok\":false");
-    check_float ~tol:0. "seq consumed" 1. (scrape_num r "seq")
-  | _ -> Alcotest.fail "parse errors reply");
-  (match Server.handle_line server "snapshot" with
-  | `Reply r -> check_true "snapshot off" (contains r "snapshotting is off")
-  | _ -> Alcotest.fail "snapshot without path is an error reply");
+  let r = reply_to server s "bogus" in
+  check_true "error reply" (contains r "\"ok\":false");
+  check_float ~tol:0. "seq consumed" 1. (scrape_num r "seq");
+  check_true "snapshot off"
+    (contains (reply_to server s "snapshot") "snapshotting is off");
   let replies =
     Server.run_script server [ "add t=1"; "shutdown"; "add t=2"; "stats" ]
   in
@@ -517,30 +517,23 @@ let test_server_dispatch () =
 let test_metrics_verb () =
   let engine, _ = make_engine ~n:2 () in
   let server = Server.create engine in
+  let s = Server.new_session () in
   (* A bare daemon with no ambient registry refuses cleanly. *)
-  (match Server.handle_line server "metrics" with
-  | `Reply r ->
-    check_true "refused without a registry" (contains r "\"ok\":false");
-    check_true "says why" (contains r "no metrics registry")
-  | _ -> Alcotest.fail "metrics must reply");
+  let r = reply_to server s "metrics" in
+  check_true "refused without a registry" (contains r "\"ok\":false");
+  check_true "says why" (contains r "no metrics registry");
   let ctx = Ffc_obs.Ctx.make ~metrics:(Ffc_obs.Metrics.create ()) () in
   Ffc_obs.Ctx.with_ctx ctx (fun () ->
       ignore (Server.run_script server [ "add t=1"; "query t=2" ]);
-      (match Server.handle_line server "metrics" with
-      | `Reply r ->
-        check_true "ok" (contains r "\"ok\":true");
-        Alcotest.(check string) "json format" "json" (scrape_str r "format");
-        check_true "latency histogram exposed"
-          (contains r "service.latency.full");
-        check_true "jain gauge exposed" (contains r "service.jain_fairness")
-      | _ -> Alcotest.fail "metrics must reply");
-      match Server.handle_line server "metrics prom" with
-      | `Reply r ->
-        Alcotest.(check string) "prometheus format" "prometheus"
-          (scrape_str r "format");
-        check_true "prometheus names"
-          (contains r "ffc_service_latency_full_bucket")
-      | _ -> Alcotest.fail "metrics prom must reply")
+      let r = reply_to server s "metrics" in
+      check_true "ok" (contains r "\"ok\":true");
+      Alcotest.(check string) "json format" "json" (scrape_str r "format");
+      check_true "latency histogram exposed" (contains r "service.latency.full");
+      check_true "jain gauge exposed" (contains r "service.jain_fairness");
+      let r = reply_to server s "metrics prom" in
+      Alcotest.(check string) "prometheus format" "prometheus"
+        (scrape_str r "format");
+      check_true "prometheus names" (contains r "ffc_service_latency_full_bucket"))
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -574,22 +567,43 @@ let storm_config =
     plan = Fault.plan [ Fault.everywhere (Fault.Flap { period = 6; up = 4 }) ];
   }
 
+(* Drive a Poisson churn stream through [server] over [clients]
+   rotating sessions, as [ffc drive --clients] does: the churn stats, a
+   [send] for follow-up requests, and the full reply log. *)
+let drive ?(clients = 1) ?(batch = 1) ?(query_every = 0) server ~seed ~rate
+    ~arrivals ~size_dist =
+  let sessions =
+    Array.init clients (fun i -> Server.new_session ~sid:(i + 1) ())
+  in
+  let next = ref 0 in
+  let log = Buffer.create 4096 in
+  let serve s line =
+    match Server.handle_session_line server s line with
+    | `Silent -> []
+    | `Replies rs | `Quit rs ->
+      List.iter (fun r -> Buffer.add_string log (r ^ "\n")) rs;
+      rs
+  in
+  let pick () =
+    let s = sessions.(!next) in
+    next := (!next + 1) mod clients;
+    s
+  in
+  let send line = String.concat "\n" (serve (pick ()) line) in
+  let send_batch lines = List.concat_map (serve (pick ())) lines in
+  let stats =
+    Churn.run ~query_every ~batch ~send_batch ~seed ~rate ~arrivals ~size_dist
+      ~send ()
+  in
+  (stats, send, Buffer.contents log)
+
 let run_storm () =
   let engine, _ = make_engine ~config:storm_config ~n:12 () in
-  let server = Server.create engine in
-  let log = Buffer.create 4096 in
-  let send line =
-    match Server.handle_line server line with
-    | `Reply r | `Quit r ->
-      Buffer.add_string log (r ^ "\n");
-      r
-    | `Silent -> ""
+  let stats, send, log =
+    drive (Server.create engine) ~query_every:16 ~seed:11 ~rate:40.
+      ~arrivals:120 ~size_dist:(Churn.Exp 0.5)
   in
-  let stats =
-    Churn.run ~query_every:16 ~seed:11 ~rate:40. ~arrivals:120
-      ~size_dist:(Churn.Exp 0.5) ~send ()
-  in
-  (stats, engine, send, Buffer.contents log)
+  (stats, engine, send, log)
 
 let test_churn_storm_acceptance () =
   let stats, engine, send, log = run_storm () in
@@ -623,6 +637,35 @@ let test_churn_storm_deterministic () =
   let _, _, _, log_a = run_storm () in
   let _, _, _, log_b = run_storm () in
   Alcotest.(check string) "storm decision log byte-identical" log_a log_b
+
+(* Golden reply logs: MD5 digests of full reply streams, captured before
+   the admission pipeline moved every tier onto the patch kernels.  The
+   rebuild promised to keep every verdict, rate, ρ, tier label and
+   vclock byte-identical; these pin it. *)
+let golden_engine () =
+  fst
+    (make_engine
+       ~config:{ Admission.default_config with sup_retries = 0 }
+       ~net:(Topologies.multi_parking_lot ~lots:8 ~hops:3 ())
+       ())
+
+let test_golden_reply_logs () =
+  let digest log = Digest.to_hex (Digest.string log) in
+  let _, _, _, storm = run_storm () in
+  Alcotest.(check string) "120-arrival flap storm"
+    "ae8151e5267cc732691610df53cbbb24" (digest storm);
+  let _, _, surge =
+    drive (Server.create (golden_engine ())) ~clients:2 ~batch:8 ~query_every:50
+      ~seed:1 ~rate:100. ~arrivals:300 ~size_dist:(Churn.Exp 0.25)
+  in
+  Alcotest.(check string) "surge: batches of 8, two sessions"
+    "d8392b471c1b2eade0acfbacdbe54602" (digest surge);
+  let _, _, calm =
+    drive (Server.create (golden_engine ())) ~seed:1 ~rate:2. ~arrivals:100
+      ~size_dist:(Churn.Exp 1.)
+  in
+  Alcotest.(check string) "calm: every request at the full tier"
+    "60a0016d3f11dbe419a914a8feffb727" (digest calm)
 
 (* ------------------------------------------------------------------ *)
 (* Batched admission                                                   *)
@@ -1040,9 +1083,8 @@ let suites =
       ] );
     ( "service.envelope",
       [
-        case "backoff retries are deterministic" test_backoff_retry_deterministic;
-        case "solver failure degrades then rejects" test_solver_failure_degrades_then_rejects;
-        case "late solve keeps its result under timeout" test_timeout_keeps_late_result;
+        case "solver failure degrades to cached" test_solver_failure_degrades_to_cached;
+        case "create refuses a failing idle DF" test_create_refuses_failing_idle_df;
       ] );
     ( "service.batch",
       [
@@ -1058,6 +1100,7 @@ let suites =
         case "decision log jobs-invariant" test_jobs_invariant_decision_log;
         case "decision log interleaving-invariant" test_interleaving_invariant_decision_log;
         case "churn storm byte-identical" test_churn_storm_deterministic;
+        case "golden reply logs" test_golden_reply_logs;
       ] );
     ( "service.snapshot",
       [

@@ -270,7 +270,7 @@ let test_cache_cold_warm_spans_identical () =
    spans, byte for byte, as the incarnation that never crashed.  Both
    engines share one topology value so the process-global sparsity memo
    treats them alike. *)
-let test_restart_resumes_identical_spans () =
+let restart_resumes_identical_spans ~tier config =
   let path = Filename.temp_file "ffc_span_snap" ".snap" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -278,7 +278,7 @@ let test_restart_resumes_identical_spans () =
       let net = Topologies.single ~mu:1. ~n:4 () in
       let adjuster = Rate_adjust.additive ~eta:0.1 ~beta:0.5 in
       let engine () =
-        Admission.create
+        Admission.create ~config
           (Controller.homogeneous ~config:Feedback.individual_fair_share
              ~adjuster ~n:4)
           ~net
@@ -312,10 +312,23 @@ let test_restart_resumes_identical_spans () =
       in
       Alcotest.(check (list string))
         "post-restart replies byte-identical" !replies_a !replies_b;
+      Alcotest.(check (option string))
+        "the first resumed request is served at the expected tier" (Some tier)
+        (Jsonf.string_field (List.hd !replies_b) ~key:"tier");
       check_true "suffix traced svc.request spans"
         (contains trace_a {|"name":"svc.request"|});
       Alcotest.(check string) "post-restart span stream byte-identical" trace_a
         trace_b)
+
+let test_restart_resumes_identical_spans () =
+  restart_resumes_identical_spans ~tier:"full" Admission.default_config
+
+(* A restored engine must not build DF inside its first incremental
+   request: that would emit a jac.sparse span the uninterrupted engine
+   never emits. *)
+let test_restart_at_incremental_tier () =
+  restart_resumes_identical_spans ~tier:"incremental"
+    { Admission.default_config with backlog_incremental = 0. }
 
 (* ------------------------------------------------------------------ *)
 (* The cross-check: trace report vs the daemon's own counters          *)
@@ -399,6 +412,8 @@ let suites =
           test_cache_cold_warm_spans_identical;
         case "snapshot restart resumes identical spans"
           test_restart_resumes_identical_spans;
+        case "snapshot restart at the incremental tier"
+          test_restart_at_incremental_tier;
       ] );
     ( "span.report",
       [
