@@ -828,17 +828,17 @@ let service_comparison () =
   Printf.printf "batch speedup over serial: %.2fx\n" (serial_ns /. batch_ns);
   rows
 
-(* Desim core: the timing-wheel scheduler against the reference binary
+(* Desim core: the timing-wheel calendar against the reference binary
    heap, and whole-engine events/sec at growing flow counts.  The
-   scheduler rows use the classic hold model — N pending timers spread
+   calendar rows use the classic hold model — N pending timers spread
    uniformly, then a pop/reschedule churn with exponential gaps of mean
    N ticks, which keeps the population spread at ~1 event per tick
    (re-inserting at mean gap 1 would collapse all timers into a few
    ticks and measure only the ready heap).  Gaps are drawn outside the
-   timed loop so the rows compare scheduler cost, not RNG cost.  The
+   timed loop so the rows compare calendar cost, not RNG cost.  The
    netsim rows run the E27 topology (disjoint parking lots, Fair Share)
-   and also check that heap, wheel, and sharded-parallel runs agree bit
-   for bit while being timed. *)
+   and also check that 1-shard and sharded-parallel runs agree bit for
+   bit while being timed. *)
 type sched_row = {
   sd_held : int;  (* pending events during the churn *)
   sd_heap_ns : float;  (* per schedule+pop pair *)
@@ -846,20 +846,16 @@ type sched_row = {
   sd_sched_speedup : float;
 }
 
-let scheduler_churn kind ~held ~ops ~gaps =
-  let open Ffc_desim in
-  let s = Scheduler.create kind in
+(* ns per pop+reschedule pair after seeding [held] timers; [push] and
+   [pop] (returning the popped time) wrap one calendar. *)
+let hold_churn ~held ~ops ~gaps ~push ~pop =
   let rng = Rng.create 11 in
   for i = 0 to held - 1 do
-    Scheduler.schedule s ~time:(Rng.uniform rng *. float_of_int held) ~handler:i
-      ~a:i ~b:0
+    push (Rng.uniform rng *. float_of_int held) i
   done;
   let t0 = Unix.gettimeofday () in
   for i = 0 to ops - 1 do
-    ignore (Scheduler.pop s);
-    Scheduler.schedule s
-      ~time:(Scheduler.popped_time s +. gaps.(i))
-      ~handler:0 ~a:0 ~b:0
+    push (pop () +. gaps.(i)) 0
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops
 
@@ -871,8 +867,21 @@ let scheduler_comparison_one ~held =
     Array.init ops (fun _ ->
         Rng.exponential rng ~rate:(1. /. float_of_int held))
   in
-  let heap_ns = scheduler_churn Scheduler.Heap ~held ~ops ~gaps in
-  let wheel_ns = scheduler_churn (Scheduler.Wheel { tick = 1.0 }) ~held ~ops ~gaps in
+  let heap = Event_heap.create () in
+  let heap_ns =
+    hold_churn ~held ~ops ~gaps
+      ~push:(fun time i -> Event_heap.push heap ~time (i, i, 0))
+      ~pop:(fun () ->
+        match Event_heap.pop_min heap with Some (time, _) -> time | None -> 0.)
+  in
+  let wheel = Timing_wheel.create ~tick:1.0 () in
+  let wheel_ns =
+    hold_churn ~held ~ops ~gaps
+      ~push:(fun time i -> Timing_wheel.schedule wheel ~time ~handler:i ~a:i ~b:0)
+      ~pop:(fun () ->
+        ignore (Timing_wheel.pop wheel);
+        Timing_wheel.popped_time wheel)
+  in
   {
     sd_held = held;
     sd_heap_ns = heap_ns;
@@ -883,11 +892,10 @@ let scheduler_comparison_one ~held =
 type desim_row = {
   ds_flows : int;
   ds_events : int;
-  ds_heap_s : float;  (* 1 shard, reference heap *)
-  ds_wheel_s : float;  (* 1 shard, timing wheel *)
-  ds_par_s : float;  (* sharded over the pool, timing wheel *)
+  ds_one_s : float;  (* 1 shard *)
+  ds_par_s : float;  (* sharded over the pool *)
   ds_par_jobs : int;
-  ds_events_per_sec : float;  (* wheel, 1 shard *)
+  ds_events_per_sec : float;  (* 1 shard *)
   ds_identical : bool;
 }
 
@@ -903,30 +911,26 @@ let desim_comparison_one ~flows =
         else 0.21 +. (0.03 *. float_of_int (i mod 3)))
   in
   let horizon = Float.max 20. (2e5 /. float_of_int flows) in
-  let run ~scheduler ~shards ~jobs =
-    Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:7 ~scheduler
-      ~shards ~jobs ~horizon ()
+  let run ~shards ~jobs =
+    Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:7 ~shards ~jobs
+      ~horizon ()
   in
   let fingerprint r =
     List.init (Stdlib.min n 64) (fun i ->
         (Netsim.delay_mean r ~conn:i, Netsim.deliveries r ~conn:i))
   in
   let jobs = Stdlib.min 8 (Domain.recommended_domain_count ()) in
-  let heap, t_heap = time (fun () -> run ~scheduler:`Heap ~shards:1 ~jobs:1) in
-  let wheel, t_wheel = time (fun () -> run ~scheduler:`Wheel ~shards:1 ~jobs:1) in
-  let par, t_par = time (fun () -> run ~scheduler:`Wheel ~shards:(4 * jobs) ~jobs) in
+  let one, t_one = time (fun () -> run ~shards:1 ~jobs:1) in
+  let par, t_par = time (fun () -> run ~shards:(4 * jobs) ~jobs) in
   {
     ds_flows = n;
-    ds_events = Netsim.events wheel;
-    ds_heap_s = t_heap;
-    ds_wheel_s = t_wheel;
+    ds_events = Netsim.events one;
+    ds_one_s = t_one;
     ds_par_s = t_par;
     ds_par_jobs = jobs;
-    ds_events_per_sec = float_of_int (Netsim.events wheel) /. t_wheel;
+    ds_events_per_sec = float_of_int (Netsim.events one) /. t_one;
     ds_identical =
-      fingerprint heap = fingerprint wheel
-      && fingerprint wheel = fingerprint par
-      && Netsim.events heap = Netsim.events par;
+      fingerprint one = fingerprint par && Netsim.events one = Netsim.events par;
   }
 
 let desim_comparison () =
@@ -953,13 +957,13 @@ let desim_comparison () =
       desim_comparison_one ~flows:100_000;
     ]
   in
-  Printf.printf "\n%8s %9s %9s %9s %9s %6s %12s %10s\n" "flows" "events"
-    "heap s" "wheel s" "par s" "jobs" "events/s" "identical";
-  Printf.printf "%s\n" (String.make 80 '-');
+  Printf.printf "\n%8s %9s %9s %9s %6s %12s %10s\n" "flows" "events"
+    "1-shard s" "par s" "jobs" "events/s" "identical";
+  Printf.printf "%s\n" (String.make 70 '-');
   List.iter
     (fun r ->
-      Printf.printf "%8d %9d %9.3f %9.3f %9.3f %6d %12.0f %10s\n" r.ds_flows
-        r.ds_events r.ds_heap_s r.ds_wheel_s r.ds_par_s r.ds_par_jobs
+      Printf.printf "%8d %9d %9.3f %9.3f %6d %12.0f %10s\n" r.ds_flows
+        r.ds_events r.ds_one_s r.ds_par_s r.ds_par_jobs
         r.ds_events_per_sec
         (if r.ds_identical then "yes" else "NO"))
     rows;
@@ -1079,11 +1083,11 @@ let write_bench_json ~kernels ~scans ~faults ~obs ~cache ~sparse ~service ~desim
   List.iteri
     (fun i r ->
       out
-        "      {\"flows\": %d, \"events\": %d, \"seconds_heap\": %s, \
-         \"seconds_wheel\": %s, \"seconds_sharded\": %s, \"jobs\": %d, \
-         \"events_per_sec_wheel\": %s, \"identical_output\": %b}%s\n"
-        r.ds_flows r.ds_events (json_float r.ds_heap_s)
-        (json_float r.ds_wheel_s) (json_float r.ds_par_s) r.ds_par_jobs
+        "      {\"flows\": %d, \"events\": %d, \"seconds_wheel\": %s, \
+         \"seconds_sharded\": %s, \"jobs\": %d, \"events_per_sec_wheel\": %s, \
+         \"identical_output\": %b}%s\n"
+        r.ds_flows r.ds_events (json_float r.ds_one_s) (json_float r.ds_par_s)
+        r.ds_par_jobs
         (json_float r.ds_events_per_sec) r.ds_identical
         (if i < List.length netsim_rows - 1 then "," else ""))
     netsim_rows;

@@ -145,12 +145,17 @@ let resolve_adjusters specs n =
     exit_err
       (Printf.sprintf "%d adjusters given for %d connections" (List.length many) n)
 
-let parse_rates spec n =
-  let parts = String.split_on_char ',' spec in
-  let floats = List.map float_of_string_opt parts in
-  if List.for_all Option.is_some floats && List.length floats = n then
-    Array.of_list (List.map Option.get floats)
-  else exit_err (Printf.sprintf "bad rate list %S for %d connections" spec n)
+(* One finite non-negative rate per connection; with [broadcast] a single
+   value stands for all [n]. *)
+let parse_rates ?(broadcast = false) spec n =
+  let bad () = exit_err (Printf.sprintf "bad rate list %S for %d connections" spec n) in
+  let floats = List.map float_of_string_opt (String.split_on_char ',' spec) in
+  let is_rate = function Some r -> Float.is_finite r && r >= 0. | None -> false in
+  if not (List.for_all is_rate floats) then bad ();
+  match List.map Option.get floats with
+  | [ r ] when broadcast -> Array.make n r
+  | rates when List.length rates = n -> Array.of_list rates
+  | _ -> bad ()
 
 (* Fault spec: "stale:LAG[@CONNS]", "lossy:P[@CONNS]", "noise:SIGMA[@CONNS]",
    "quantize:T[@CONNS]", "dead@CONNS", "flap:PERIOD:UP@CONNS",
@@ -670,15 +675,6 @@ let simulate_cmd =
              worker pool (0 = auto: a few per job). Results and traces are \
              byte-identical at any shard count.")
   in
-  let scheduler_term =
-    Arg.(
-      value
-      & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-      & info [ "scheduler" ] ~docv:"SCHED"
-          ~doc:
-            "Event calendar: the O(1) timing wheel or the reference binary \
-             heap. The choice never affects results.")
-  in
   let buffer_term =
     Arg.(
       value
@@ -688,8 +684,8 @@ let simulate_cmd =
             "Per-gateway buffer limit: arrivals beyond $(docv) packets in \
              system are dropped (default: infinite buffers).")
   in
-  let run net_result rates_spec discipline horizon seed flows shards scheduler
-      buffer_limit jobs trace metrics stride sched det =
+  let run net_result rates_spec discipline horizon seed flows shards buffer_limit
+      jobs trace metrics stride sched det =
     apply_jobs jobs;
     if shards < 0 then exit_err "--shards must be >= 0";
     let net =
@@ -704,13 +700,7 @@ let simulate_cmd =
     let n = Network.num_connections net in
     let rates =
       match (rates_spec, flows) with
-      | Some spec, _ -> (
-        match String.split_on_char ',' spec with
-        | [ one ] when n > 1 -> (
-          match float_of_string_opt one with
-          | Some r -> Array.make n r
-          | None -> exit_err (Printf.sprintf "bad rate %S" one))
-        | _ -> parse_rates spec n)
+      | Some spec, _ -> parse_rates ~broadcast:true spec n
       | None, Some _ ->
         (* The E27 load: long flows at 0.25, cross flows around 0.24. *)
         Array.init n (fun i ->
@@ -723,13 +713,17 @@ let simulate_cmd =
       | Some _ -> Printf.sprintf "flows:%d" n
       | None -> Printf.sprintf "net:%d-conns" n
     in
+    (* Netsim.run checks every argument before simulating, so its
+       Invalid_argument is an input error. *)
     let result =
-      with_obs ~command:"simulate" ~subject
-        ~seeds:[ ("sim", seed) ]
-        ~jobs ~trace ~metrics ~stride ~sched ~timing:(not det)
-        (fun () ->
-          Ffc_desim.Netsim.run ~net ~rates ~discipline ~seed ~scheduler ~shards
-            ~jobs ?buffer_limit ~horizon ())
+      try
+        with_obs ~command:"simulate" ~subject
+          ~seeds:[ ("sim", seed) ]
+          ~jobs ~trace ~metrics ~stride ~sched ~timing:(not det)
+          (fun () ->
+            Ffc_desim.Netsim.run ~net ~rates ~discipline ~seed ~shards ~jobs
+              ?buffer_limit ~horizon ())
+      with Invalid_argument msg -> exit_err msg
     in
     let module N = Ffc_desim.Netsim in
     Printf.printf "horizon %g (10%% warmup), seed %d, %d shards over %d components\n"
@@ -786,12 +780,12 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:
          "Packet-level discrete-event simulation of a topology on the \
-          struct-of-arrays desim core: timing-wheel scheduler, preallocated \
+          struct-of-arrays desim core: timing-wheel calendar, preallocated \
           packet pool, independent gateway domains sharded over the worker \
           pool with byte-identical results at any --shards/--jobs.")
     Term.(
       const run $ topology_term $ rates_term $ discipline_term $ horizon_term
-      $ seed_term $ flows_term $ shards_term $ scheduler_term $ buffer_term
+      $ seed_term $ flows_term $ shards_term $ buffer_term
       $ jobs_term $ trace_term $ metrics_term $ trace_stride_term
       $ trace_sched_term $ trace_det_term)
 
@@ -844,9 +838,11 @@ let closed_loop_cmd =
       let n = Network.num_connections net in
       let adjusters = resolve_adjusters specs n in
       let r =
-        Ffc_closedloop.Closed_loop.run ~net ~discipline ~style
-          ~signal:Signal.linear_fractional ~adjusters ~r0:(Array.make n 0.05)
-          ~interval ~updates ~seed ()
+        try
+          Ffc_closedloop.Closed_loop.run ~net ~discipline ~style
+            ~signal:Signal.linear_fractional ~adjusters ~r0:(Array.make n 0.05)
+            ~interval ~updates ~seed ()
+        with Invalid_argument msg -> exit_err msg
       in
       Format.printf "%a@." Network.pp net;
       Printf.printf "closed loop: %d updates every %g time units\n\n" updates interval;

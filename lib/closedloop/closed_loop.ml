@@ -3,7 +3,7 @@ open Ffc_topology
 open Ffc_core
 open Ffc_desim
 
-type discipline = Fifo | Fs_priority | Fair_queueing
+type discipline = Netsim.discipline = Fifo | Fs_priority | Fair_queueing
 
 type result = {
   times : float array;
@@ -13,226 +13,6 @@ type result = {
   mean_tail_rates : float array;
 }
 
-let qdisc_of = function
-  | Fifo -> Qdisc.Fifo
-  | Fs_priority -> Qdisc.Preemptive_priority
-  | Fair_queueing -> Qdisc.Fair_queueing
-
-(* Fair Share thinning table from the *current* rate vector at a gateway:
-   cumulative (class, rate) pairs; see Netsim for the open-loop analogue. *)
-let fs_class_table ~local_rates ~rate =
-  if rate <= 0. then [||]
-  else begin
-    let sorted = Vec.sorted_increasing local_rates in
-    let entries = ref [] in
-    let cum = ref 0. in
-    Array.iteri
-      (fun j threshold ->
-        let increment = if j = 0 then threshold else threshold -. sorted.(j - 1) in
-        if increment > 0. && threshold <= rate then begin
-          cum := !cum +. increment;
-          entries := (j, !cum) :: !entries
-        end)
-      sorted;
-    Array.of_list (List.rev !entries)
-  end
-
-let draw_fs_class table rng ~rate =
-  let u = Rng.uniform rng *. rate in
-  let n = Array.length table in
-  let rec go i =
-    if i >= n - 1 then fst table.(n - 1)
-    else begin
-      let _, cum = table.(i) in
-      if u <= cum then fst table.(i) else go (i + 1)
-    end
-  in
-  if n = 0 then 0 else go 0
-
-(* A capacity-based event-rate estimate sizes the timing-wheel tick:
-   executed events per unit time are bounded by completions plus
-   forwards at every gateway (~2 mu each) whatever the rates do. *)
-let wheel_for net =
-  let n_gws = Network.num_gateways net in
-  let cap = ref 0. in
-  for a = 0 to n_gws - 1 do
-    cap := !cap +. (2. *. (Network.gateway net a).Network.mu)
-  done;
-  Scheduler.Wheel { tick = Scheduler.auto_tick ~events_per_time:!cap }
-
-(* Per-gateway (connection, hop) incidence in Gamma(a) order — shared by
-   the FS table refresh and the measured-queue readout. *)
-let gateway_incidence net paths =
-  let n_gws = Network.num_gateways net in
-  Array.init n_gws (fun a ->
-      Network.connections_at_gateway net a
-      |> List.map (fun i ->
-             let hop = ref (-1) in
-             Array.iteri (fun k g -> if g = a then hop := k) paths.(i);
-             (i, !hop))
-      |> Array.of_list)
-
-let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed () =
-  let n_conns = Network.num_connections net in
-  let n_gws = Network.num_gateways net in
-  if Array.length adjusters <> n_conns then
-    invalid_arg "Closed_loop.run: adjuster count mismatch";
-  if Array.length r0 <> n_conns then invalid_arg "Closed_loop.run: r0 length mismatch";
-  if not (interval > 0.) then invalid_arg "Closed_loop.run: interval must be positive";
-  if updates <= 0 then invalid_arg "Closed_loop.run: updates must be positive";
-  Array.iter
-    (fun r ->
-      if (not (Float.is_finite r)) || r < 0. then
-        invalid_arg "Closed_loop.run: rates must be finite and non-negative")
-    r0;
-  let sim = Sim.create ~scheduler:(wheel_for net) () in
-  let root_rng = Rng.create seed in
-  let pool = Packet.Pool.create () in
-  let current_rates = Array.copy r0 in
-  let paths =
-    Array.init n_conns (fun i -> Array.of_list (Network.gateways_of_connection net i))
-  in
-  let flat = Measure.Flat.create ~paths in
-  let incidence = gateway_incidence net paths in
-  (* FS thinning tables per (connection, hop), refreshed at every
-     control update. *)
-  let class_tables = Array.map (Array.map (fun _ -> ([||] : (int * float) array))) paths in
-  let refresh_class_tables () =
-    if discipline = Fs_priority then
-      for a = 0 to n_gws - 1 do
-        let local_rates = Network.rates_at_gateway net ~rates:current_rates a in
-        Array.iter
-          (fun (i, hop) ->
-            class_tables.(i).(hop) <-
-              fs_class_table ~local_rates ~rate:current_rates.(i))
-          incidence.(a)
-      done
-  in
-  refresh_class_tables ();
-  let servers = Array.make n_gws None in
-  let server_of a = match servers.(a) with Some s -> s | None -> assert false in
-  let class_rng = Rng.split root_rng in
-  let fs = discipline = Fs_priority in
-  let inject_at pkt hop =
-    let i = Packet.Pool.conn pool pkt in
-    let a = paths.(i).(hop) in
-    Packet.Pool.set_hop pool pkt hop;
-    (if fs then begin
-       let table = class_tables.(i).(hop) in
-       if Array.length table > 0 then
-         Packet.Pool.set_klass pool pkt
-           (draw_fs_class table class_rng ~rate:(Float.max 1e-12 current_rates.(i)))
-       else Packet.Pool.set_klass pool pkt 0
-     end);
-    Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Server.inject (server_of a) pkt
-  in
-  let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-  let deliver pkt =
-    let i = Packet.Pool.conn pool pkt in
-    Measure.Flat.record_delay flat ~conn:i (Sim.now sim -. Packet.Pool.born pool pkt);
-    Measure.Flat.count_delivery flat ~conn:i;
-    Packet.Pool.free pool pkt
-  in
-  let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-  let on_depart a pkt =
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    let latency = (Network.gateway net a).Network.latency in
-    if hop < Array.length paths.(i) - 1 then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_forward ~a:pkt ~b:(hop + 1)
-    else if latency > 0. then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_deliver ~a:pkt ~b:0
-    else deliver pkt
-  in
-  for a = 0 to n_gws - 1 do
-    let rng = Rng.split root_rng in
-    servers.(a) <-
-      Some
-        (Server.create ~sim ~rng ~pool
-           ~mu:(Network.gateway net a).Network.mu
-           ~qdisc:(qdisc_of discipline) ~on_depart:(on_depart a) ())
-  done;
-  let emit pkt = inject_at pkt 0 in
-  let sources =
-    Array.init n_conns (fun i ->
-        let rng = Rng.split root_rng in
-        Source.create ~sim ~rng ~pool ~conn:i ~rate:r0.(i) ~emit ())
-  in
-  Array.iter Source.start sources;
-  (* The control loop.  At each update instant: read measured per-gateway
-     queue averages over the closing window, form congestion measures and
-     bottleneck-combined signals, adjust every rate, reset the window. *)
-  let times = Array.make updates 0. in
-  let rates_log = Array.make updates [||] in
-  let signals_log = Array.make updates [||] in
-  let line_latency i =
-    Array.fold_left
-      (fun acc a -> acc +. (Network.gateway net a).Network.latency)
-      0. paths.(i)
-  in
-  let do_update k =
-    let now = Sim.now sim in
-    (* Per-gateway measured queue vectors in local connection order. *)
-    let measured_queues =
-      Array.init n_gws (fun a ->
-          Array.map
-            (fun (i, hop) ->
-              Measure.Flat.mean_occupancy flat
-                ~slot:(Measure.Flat.slot flat ~conn:i ~hop)
-                ~now)
-            incidence.(a))
-    in
-    let b =
-      Array.init n_conns (fun i ->
-          List.fold_left
-            (fun acc a ->
-              let local = Network.local_index net ~conn:i ~gw:a in
-              let measures = Congestion.measures style measured_queues.(a) in
-              Float.max acc (Signal.eval signal measures.(local)))
-            0.
-            (Network.gateways_of_connection net i))
-    in
-    let d =
-      Array.init n_conns (fun i ->
-          let measured = Measure.Flat.delay_mean flat ~conn:i in
-          if Measure.Flat.delay_count flat ~conn:i > 0 then measured
-          else line_latency i)
-    in
-    Array.iteri
-      (fun i r ->
-        let dr = Rate_adjust.eval adjusters.(i) ~r ~b:b.(i) ~d:d.(i) in
-        current_rates.(i) <- Float.max 0. (r +. dr);
-        Source.set_rate sources.(i) current_rates.(i))
-      (Array.copy current_rates);
-    refresh_class_tables ();
-    Measure.Flat.reset flat ~now;
-    times.(k) <- now;
-    rates_log.(k) <- Array.copy current_rates;
-    signals_log.(k) <- b
-  in
-  for k = 0 to updates - 1 do
-    Sim.run ~until:(float_of_int (k + 1) *. interval) sim;
-    do_update k
-  done;
-  let tail = Stdlib.max 1 (updates / 4) in
-  let mean_tail_rates =
-    Array.init n_conns (fun i ->
-        let acc = ref 0. in
-        for k = updates - tail to updates - 1 do
-          acc := !acc +. rates_log.(k).(i)
-        done;
-        !acc /. float_of_int tail)
-  in
-  {
-    times;
-    rates = rates_log;
-    signals = signals_log;
-    final_rates = Array.copy current_rates;
-    mean_tail_rates;
-  }
-
 type drop_result = {
   dr_times : float array;
   dr_rates : float array array;
@@ -241,141 +21,235 @@ type drop_result = {
   mean_utilization : float;
 }
 
-let run_drop_tail ~net ~buffer ~adjusters ~r0 ~interval ~updates ~seed () =
+let validate fn ~net ~adjusters ~r0 ~interval ~updates =
   let n_conns = Network.num_connections net in
-  let n_gws = Network.num_gateways net in
-  if Array.length adjusters <> n_conns then
-    invalid_arg "Closed_loop.run_drop_tail: adjuster count mismatch";
-  if Array.length r0 <> n_conns then
-    invalid_arg "Closed_loop.run_drop_tail: r0 length mismatch";
-  if buffer < 1 then invalid_arg "Closed_loop.run_drop_tail: buffer must be >= 1";
-  if not (interval > 0.) then
-    invalid_arg "Closed_loop.run_drop_tail: interval must be positive";
-  if updates <= 0 then invalid_arg "Closed_loop.run_drop_tail: updates must be positive";
-  let sim = Sim.create ~scheduler:(wheel_for net) () in
-  let root_rng = Rng.create seed in
+  let fail msg = invalid_arg (fn ^ ": " ^ msg) in
+  if Array.length adjusters <> n_conns then fail "adjuster count mismatch";
+  if Array.length r0 <> n_conns then fail "r0 length mismatch";
+  if not (interval > 0. && Float.is_finite interval) then
+    fail "interval must be positive and finite";
+  if updates <= 0 then fail "updates must be positive";
+  if Array.exists (fun r -> (not (Float.is_finite r)) || r < 0.) r0 then
+    fail "rates must be finite and non-negative"
+
+(* The window's mean end-to-end delay of connection [i], [default] when
+   none of its packets was delivered. *)
+let delay_or flat i default =
+  if Measure.Flat.delay_count flat ~conn:i > 0 then Measure.Flat.delay_mean flat ~conn:i
+  else default
+
+let paths_of net =
+  Array.init (Network.num_connections net) (fun i ->
+      Array.of_list (Network.gateways_of_connection net i))
+
+(* The network under control: Poisson sources at [r0] feeding [net]'s
+   gateways over the shared packet path.  Each gateway's server, then
+   each connection's source, splits its stream off [rng] in ascending
+   order. *)
+type plant = { sim : Sim.t; fabric : Fabric.t; sources : Source.t array }
+
+let plant ~net ~paths ~rng ~qdisc ?buffer_limit ?klass ~r0 () =
+  let gateways =
+    Array.init (Network.num_gateways net) (fun a ->
+        (Network.gateway net a, Rng.split rng))
+  in
+  (* A capacity-based event-rate estimate sizes the wheel's tick:
+     executed events per unit time are bounded by completions plus
+     forwards at every gateway (~2 mu each) whatever the rates do. *)
+  let capacity =
+    Array.fold_left (fun acc (g, _) -> acc +. (2. *. g.Network.mu)) 0. gateways
+  in
+  let sim = Sim.create ~events_per_time:capacity () in
   let pool = Packet.Pool.create () in
-  let current_rates = Array.copy r0 in
-  let paths =
-    Array.init n_conns (fun i -> Array.of_list (Network.gateways_of_connection net i))
-  in
-  let flat = Measure.Flat.create ~paths in
-  let servers = Array.make n_gws None in
-  let server_of a = match servers.(a) with Some s -> s | None -> assert false in
-  let total_drops = Array.make n_conns 0 in
-  let total_emitted = Array.make n_conns 0 in
-  let inject_at pkt hop =
-    let i = Packet.Pool.conn pool pkt in
-    let a = paths.(i).(hop) in
-    Packet.Pool.set_hop pool pkt hop;
-    Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Server.inject (server_of a) pkt
-  in
-  let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-  let deliver pkt =
-    let i = Packet.Pool.conn pool pkt in
-    Measure.Flat.record_delay flat ~conn:i (Sim.now sim -. Packet.Pool.born pool pkt);
-    Measure.Flat.count_delivery flat ~conn:i;
-    Packet.Pool.free pool pkt
-  in
-  let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-  let on_drop pkt =
-    (* The packet never entered this gateway's system: undo the occupancy
-       increment recorded at injection. *)
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Measure.Flat.count_drop flat ~conn:i;
-    total_drops.(i) <- total_drops.(i) + 1;
-    Packet.Pool.free pool pkt
-  in
-  let on_depart a pkt =
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    let latency = (Network.gateway net a).Network.latency in
-    if hop < Array.length paths.(i) - 1 then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_forward ~a:pkt ~b:(hop + 1)
-    else if latency > 0. then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_deliver ~a:pkt ~b:0
-    else deliver pkt
-  in
-  for a = 0 to n_gws - 1 do
-    let rng = Rng.split root_rng in
-    servers.(a) <-
-      Some
-        (Server.create ~sim ~rng ~pool
-           ~mu:(Network.gateway net a).Network.mu
-           ~qdisc:Qdisc.Fifo ~buffer_limit:buffer ~on_drop
-           ~on_depart:(on_depart a) ())
-  done;
-  let emit pkt =
-    let i = Packet.Pool.conn pool pkt in
-    total_emitted.(i) <- total_emitted.(i) + 1;
-    inject_at pkt 0
-  in
+  let fabric = Fabric.create ~sim ~pool ~paths ~gateways ~qdisc ?buffer_limit ?klass () in
+  let emit pkt = Fabric.inject fabric pkt 0 in
   let sources =
-    Array.init n_conns (fun i ->
-        let rng = Rng.split root_rng in
-        Source.create ~sim ~rng ~pool ~conn:i ~rate:r0.(i) ~emit ())
+    Array.mapi
+      (fun i rate -> Source.create ~sim ~rng:(Rng.split rng) ~pool ~conn:i ~rate ~emit ())
+      r0
   in
   Array.iter Source.start sources;
+  { sim; fabric; sources }
+
+(* Runs [updates] control intervals of length [interval].  At each
+   update instant, [signals] reads the closing window as per-connection
+   signal and delay vectors (b, d); every connection sets its rate in
+   [rates] to r + f(r, b, d) via its own adjuster; [after k] runs; the
+   measurement window restarts.  Returns the update times, the rate
+   vector set at each update, and each connection's mean rate over the
+   last quarter of the updates. *)
+let control plant ~adjusters ~rates ~interval ~updates ~signals ~after =
+  let flat = Fabric.flat plant.fabric in
   let times = Array.make updates 0. in
-  let rates_log = Array.make updates [||] in
-  let tail = Stdlib.max 1 (updates / 4) in
-  let tail_delivered = Array.make n_conns 0 in
-  let do_update k =
-    let now = Sim.now sim in
-    (* Binary implicit signal: any drop in the window sets the "bit". *)
+  let log = Array.make updates [||] in
+  for k = 0 to updates - 1 do
+    Sim.run ~until:(float_of_int (k + 1) *. interval) plant.sim;
+    let now = Sim.now plant.sim in
+    let b, d = signals k ~now in
     Array.iteri
       (fun i r ->
-        let b = if Measure.Flat.drops flat ~conn:i > 0 then 1. else 0. in
-        let d =
-          if Measure.Flat.delay_count flat ~conn:i > 0 then
-            Measure.Flat.delay_mean flat ~conn:i
-          else 1.
-        in
-        let dr = Rate_adjust.eval adjusters.(i) ~r ~b ~d in
-        current_rates.(i) <- Float.max 0. (r +. dr);
-        Source.set_rate sources.(i) current_rates.(i))
-      (Array.copy current_rates);
-    if k >= updates - tail then
-      for i = 0 to n_conns - 1 do
-        tail_delivered.(i) <- tail_delivered.(i) + Measure.Flat.deliveries flat ~conn:i
-      done;
+        let dr = Rate_adjust.eval adjusters.(i) ~r ~b:b.(i) ~d:d.(i) in
+        rates.(i) <- Float.max 0. (r +. dr);
+        Source.set_rate plant.sources.(i) rates.(i))
+      (Array.copy rates);
+    after k;
     Measure.Flat.reset flat ~now;
     times.(k) <- now;
-    rates_log.(k) <- Array.copy current_rates
-  in
-  for k = 0 to updates - 1 do
-    Sim.run ~until:(float_of_int (k + 1) *. interval) sim;
-    do_update k
+    log.(k) <- Array.copy rates
   done;
-  let dr_mean_tail_rates =
-    Array.init n_conns (fun i ->
+  let tail = Stdlib.max 1 (updates / 4) in
+  let tail_means =
+    Array.mapi
+      (fun i _ ->
         let acc = ref 0. in
         for k = updates - tail to updates - 1 do
-          acc := !acc +. rates_log.(k).(i)
+          acc := !acc +. log.(k).(i)
         done;
         !acc /. float_of_int tail)
+      rates
   in
-  let drop_fraction =
-    Array.init n_conns (fun i ->
-        if total_emitted.(i) = 0 then 0.
-        else float_of_int total_drops.(i) /. float_of_int total_emitted.(i))
+  (times, log, tail_means)
+
+let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed () =
+  validate "Closed_loop.run" ~net ~adjusters ~r0 ~interval ~updates;
+  let n_gws = Network.num_gateways net in
+  let rng = Rng.create seed in
+  let rates = Array.copy r0 in
+  let paths = paths_of net in
+  (* Per-gateway (connection, hop) incidence in Gamma(a) order — shared
+     by the FS table refresh and the measured-queue readout. *)
+  let incidence =
+    Array.init n_gws (fun a ->
+        Network.connections_at_gateway net a
+        |> List.map (fun i ->
+               let hop = ref (-1) in
+               Array.iteri (fun k g -> if g = a then hop := k) paths.(i);
+               (i, !hop))
+        |> Array.of_list)
   in
-  let total_mu = ref 0. in
-  for a = 0 to n_gws - 1 do
-    total_mu := !total_mu +. (Network.gateway net a).Network.mu
-  done;
-  let delivered_rate =
-    Array.fold_left ( + ) 0 tail_delivered
-    |> float_of_int
-    |> fun x -> x /. (float_of_int tail *. interval)
+  (* FS thinning tables per (connection, hop), recomputed from the
+     current rate vector at every control update, as an implementation
+     of FS would have to. *)
+  let class_tables =
+    Array.map (Array.map (fun _ -> ([||] : (int * float) array))) paths
+  in
+  let refresh_class_tables () =
+    if discipline = Fs_priority then
+      for a = 0 to n_gws - 1 do
+        let local_rates = Network.rates_at_gateway net ~rates a in
+        Array.iter
+          (fun (i, hop) ->
+            class_tables.(i).(hop) <-
+              Netsim.fs_class_table ~local_rates ~rate:rates.(i))
+          incidence.(a)
+      done
+  in
+  refresh_class_tables ();
+  (* One thinning stream for the whole network, split before the
+     servers'; a connection whose table is empty draws nothing. *)
+  let class_rng = Rng.split rng in
+  let klass i hop =
+    let table = class_tables.(i).(hop) in
+    if Array.length table > 0 then
+      Netsim.draw_fs_class table class_rng ~rate:(Float.max 1e-12 rates.(i))
+    else 0
+  in
+  let plant =
+    plant ~net ~paths ~rng ~qdisc:(Netsim.qdisc_of discipline)
+      ?klass:(if discipline = Fs_priority then Some klass else None)
+      ~r0 ()
+  in
+  let flat = Fabric.flat plant.fabric in
+  let line_latency i =
+    Array.fold_left
+      (fun acc a -> acc +. (Network.gateway net a).Network.latency)
+      0. paths.(i)
+  in
+  let signals_log = Array.make updates [||] in
+  (* Measured per-gateway queue averages over the closing window, turned
+     into congestion measures and bottleneck-combined signals (§2.3.1);
+     d is the measured mean end-to-end delay. *)
+  let signals k ~now =
+    let measures =
+      Array.map
+        (fun inc ->
+          Congestion.measures style
+            (Array.map
+               (fun (i, hop) ->
+                 Measure.Flat.mean_occupancy flat
+                   ~slot:(Measure.Flat.slot flat ~conn:i ~hop)
+                   ~now)
+               inc))
+        incidence
+    in
+    let b =
+      Array.mapi
+        (fun i path ->
+          Array.fold_left
+            (fun acc a ->
+              let local = Network.local_index net ~conn:i ~gw:a in
+              Float.max acc (Signal.eval signal measures.(a).(local)))
+            0. path)
+        paths
+    in
+    let d = Array.mapi (fun i _ -> delay_or flat i (line_latency i)) paths in
+    signals_log.(k) <- b;
+    (b, d)
+  in
+  let times, log, mean_tail_rates =
+    control plant ~adjusters ~rates ~interval ~updates ~signals
+      ~after:(fun _ -> refresh_class_tables ())
   in
   {
+    times;
+    rates = log;
+    signals = signals_log;
+    final_rates = Array.copy rates;
+    mean_tail_rates;
+  }
+
+let run_drop_tail ~net ~buffer ~adjusters ~r0 ~interval ~updates ~seed () =
+  validate "Closed_loop.run_drop_tail" ~net ~adjusters ~r0 ~interval ~updates;
+  if buffer < 1 then invalid_arg "Closed_loop.run_drop_tail: buffer must be >= 1";
+  let n_conns = Network.num_connections net in
+  let plant =
+    plant ~net ~paths:(paths_of net) ~rng:(Rng.create seed) ~qdisc:Qdisc.Fifo
+      ~buffer_limit:buffer ~r0 ()
+  in
+  let flat = Fabric.flat plant.fabric in
+  (* Binary implicit signal: any drop in the window sets the "bit". *)
+  let signals _ ~now:_ =
+    ( Array.init n_conns (fun i -> if Measure.Flat.drops flat ~conn:i > 0 then 1. else 0.),
+      Array.init n_conns (fun i -> delay_or flat i 1.) )
+  in
+  let tail = Stdlib.max 1 (updates / 4) in
+  let total_drops = Array.make n_conns 0 in
+  let tail_delivered = ref 0 in
+  let after k =
+    for i = 0 to n_conns - 1 do
+      total_drops.(i) <- total_drops.(i) + Measure.Flat.drops flat ~conn:i;
+      if k >= updates - tail then
+        tail_delivered := !tail_delivered + Measure.Flat.deliveries flat ~conn:i
+    done
+  in
+  let times, log, dr_mean_tail_rates =
+    control plant ~adjusters ~rates:(Array.copy r0) ~interval ~updates ~signals ~after
+  in
+  let drop_fraction =
+    Array.mapi
+      (fun i drops ->
+        let emitted = Source.emitted plant.sources.(i) in
+        if emitted = 0 then 0. else float_of_int drops /. float_of_int emitted)
+      total_drops
+  in
+  let total_mu = ref 0. in
+  for a = 0 to Network.num_gateways net - 1 do
+    total_mu := !total_mu +. (Network.gateway net a).Network.mu
+  done;
+  let delivered_rate = float_of_int !tail_delivered /. (float_of_int tail *. interval) in
+  {
     dr_times = times;
-    dr_rates = rates_log;
+    dr_rates = log;
     dr_mean_tail_rates;
     drop_fraction;
     mean_utilization = delivered_rate /. !total_mu;

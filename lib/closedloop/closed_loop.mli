@@ -14,13 +14,16 @@
 
     This removes the two central idealizations at once (instant
     equilibration and noiseless signals) and lets the paper's
-    steady-state predictions be checked against a live system. *)
+    steady-state predictions be checked against a live system.
+
+    Both loops drive the packet path {!Ffc_desim.Netsim} uses
+    ({!Ffc_desim.Fabric}) and differ only in their update rules. *)
 
 open Ffc_numerics
 open Ffc_topology
 open Ffc_core
 
-type discipline = Fifo | Fs_priority | Fair_queueing
+type discipline = Ffc_desim.Netsim.discipline = Fifo | Fs_priority | Fair_queueing
 
 type result = {
   times : float array;  (** Update instants. *)
@@ -47,7 +50,8 @@ val run :
   result
 (** Runs [updates] control intervals of length [interval].  [r0] gives the
     initial sending rates.  Raises [Invalid_argument] on dimension
-    mismatches or non-positive [interval]/[updates]. *)
+    mismatches, negative or non-finite rates, a non-positive or infinite
+    [interval], or non-positive [updates]. *)
 
 type drop_result = {
   dr_times : float array;
@@ -76,4 +80,5 @@ val run_drop_tail :
     were dropped in the window, else 0 — so pairing this with
     {!Rate_adjust.aimd} reproduces the classic TCP-style control loop.
     Like aggregate feedback, drops signal the aggregate congestion, so
-    the paper's fairness/robustness limits for aggregate feedback apply. *)
+    the paper's fairness/robustness limits for aggregate feedback apply.
+    Raises [Invalid_argument] as {!run} does, and on [buffer < 1]. *)

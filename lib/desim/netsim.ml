@@ -76,8 +76,8 @@ type shard_out = {
       (* per-shard delay tally; flushed into "desim.delay" at the join *)
 }
 
-let run ~net ~rates ~discipline ~seed ?warmup ?(scheduler = `Wheel) ?(shards = 1)
-    ?jobs ?buffer_limit ~horizon () =
+let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
+    ~horizon () =
   let n_conns = Network.num_connections net in
   let n_gws = Network.num_gateways net in
   if Array.length rates <> n_conns then
@@ -91,6 +91,9 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(scheduler = `Wheel) ?(shards = 1
   if not (horizon > warmup && warmup >= 0.) then
     invalid_arg "Netsim.run: need horizon > warmup >= 0";
   if shards < 1 then invalid_arg "Netsim.run: shards must be >= 1";
+  (match buffer_limit with
+  | Some k when k < 1 -> invalid_arg "Netsim.run: buffer_limit must be >= 1"
+  | Some _ | None -> ());
   Ffc_obs.Ctx.incr_named "desim.runs";
   let paths =
     Array.init n_conns (fun i -> Array.of_list (Network.gateways_of_connection net i))
@@ -228,125 +231,69 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(scheduler = `Wheel) ?(shards = 1
       Some (Ffc_obs.Metrics.histogram (Ffc_obs.Ctx.metrics c) "desim.delay")
     | None -> None
   in
-  let fs = discipline = Fs_priority in
+  let qdisc = qdisc_of discipline in
   let run_shard (p : shard_plan) =
-    let n_l = Array.length p.sp_conns in
-    let flat = Measure.Flat.create ~paths:p.sp_paths in
-    if n_l = 0 then { so_flat = flat; so_events = 0; so_injections = 0; so_hist = None }
-    else begin
-      let scheduler_kind =
-        match scheduler with
-        | `Heap -> Scheduler.Heap
-        | `Wheel ->
-          Scheduler.Wheel
-            { tick = Scheduler.auto_tick ~events_per_time:p.sp_events_per_time }
-      in
-      let sim = Sim.create ~scheduler:scheduler_kind () in
-      let pool = Packet.Pool.create ~initial:1024 () in
-      let trc = Ffc_obs.Ctx.tracing () in
-      (* Per-shard local tally (Histogram.Local): zero-sync observes in
-         the event loop, one bulk flush into the shared histogram at
-         the main-domain merge. *)
-      let local_delays =
-        Option.map Ffc_obs.Metrics.Histogram.Local.create delay_hist
-      in
-      let injections = ref 0 in
-      (* Per-component delivery trace buffers — flushed in component
-         order at the end so the trace stream is independent of how
-         components were grouped into shards. *)
-      let trace_buf = Array.make p.sp_n_comps [] in
-      let trace_ord = Array.make p.sp_n_comps 0 in
-      let servers = Array.make (Array.length p.sp_gws) None in
-      let server_of a_l =
-        match servers.(a_l) with Some s -> s | None -> assert false
-      in
-      let latency = Array.map (fun a -> (Network.gateway net a).Network.latency) p.sp_gws in
-      let inject_at pkt hop =
-        let i_l = Packet.Pool.conn pool pkt in
-        let a_l = p.sp_paths.(i_l).(hop) in
-        Packet.Pool.set_hop pool pkt hop;
-        (if fs then
-           let table = p.sp_tables.(i_l).(hop) in
-           Packet.Pool.set_klass pool pkt
-             (draw_fs_class table class_rngs.(p.sp_gws.(a_l)) ~rate:p.sp_rates.(i_l)));
-        incr injections;
-        Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        Server.inject (server_of a_l) pkt
-      in
-      let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-      let deliver pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let delay = Sim.now sim -. Packet.Pool.born pool pkt in
-        Measure.Flat.record_delay flat ~conn:i_l delay;
-        Measure.Flat.count_delivery flat ~conn:i_l;
-        (match local_delays with
-        | Some l -> Ffc_obs.Metrics.Histogram.Local.observe l delay
-        | None -> ());
-        (match trc with
-        | Some c ->
-          (* Stride sampling on the component's own delivery ordinal —
-             deterministic and sharding-independent. *)
-          let comp = p.sp_comp.(i_l) in
-          trace_ord.(comp) <- trace_ord.(comp) + 1;
-          if Ffc_obs.Ctx.sample c trace_ord.(comp) then
-            trace_buf.(comp) <-
-              Ffc_obs.Event.desim_delivery ~time:(Sim.now sim) ~conn:p.sp_conns.(i_l)
-                ~delay
-              :: trace_buf.(comp)
-        | None -> ());
-        Packet.Pool.free pool pkt
-      in
-      let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-      let on_depart a_l pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let hop = Packet.Pool.hop pool pkt in
-        Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        let lat = latency.(a_l) in
-        if hop < Array.length p.sp_paths.(i_l) - 1 then
-          Sim.schedule_code_after sim ~delay:lat ~handler:h_forward ~a:pkt ~b:(hop + 1)
-        else if lat > 0. then
-          Sim.schedule_code_after sim ~delay:lat ~handler:h_deliver ~a:pkt ~b:0
-        else deliver pkt
-      in
-      let on_drop pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let hop = Packet.Pool.hop pool pkt in
-        Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        Measure.Flat.count_drop flat ~conn:i_l;
-        Packet.Pool.free pool pkt
-      in
-      Array.iteri
-        (fun a_l a ->
-          servers.(a_l) <-
-            Some
-              (Server.create ~sim ~rng:server_rngs.(a) ~pool
-                 ~mu:(Network.gateway net a).Network.mu
-                 ~qdisc:(qdisc_of discipline) ?buffer_limit ~on_drop
-                 ~on_depart:(on_depart a_l) ()))
-        p.sp_gws;
-      let emit pkt = inject_at pkt 0 in
-      let sources =
-        Array.init n_l (fun i_l ->
-            Source.create ~sim ~rng:source_rngs.(p.sp_conns.(i_l)) ~pool ~conn:i_l
-              ~rate:p.sp_rates.(i_l) ~emit ())
-      in
-      Array.iter Source.start sources;
-      if warmup > 0. then
-        Sim.schedule sim ~at:warmup (fun () -> Measure.Flat.reset flat ~now:warmup);
-      Sim.run ~until:horizon sim;
-      (match trc with
-      | Some c ->
-        for comp = 0 to p.sp_n_comps - 1 do
-          List.iter (Ffc_obs.Ctx.emit c) (List.rev trace_buf.(comp))
-        done
+    let sim = Sim.create ~events_per_time:p.sp_events_per_time () in
+    let pool = Packet.Pool.create ~initial:1024 () in
+    let trc = Ffc_obs.Ctx.tracing () in
+    (* Per-shard local tally (Histogram.Local): zero-sync observes in
+       the event loop, one bulk flush into the shared histogram at
+       the main-domain merge. *)
+    let local_delays = Option.map Ffc_obs.Metrics.Histogram.Local.create delay_hist in
+    (* Per-component delivery trace buffers — flushed in component
+       order at the end so the trace stream is independent of how
+       components were grouped into shards. *)
+    let trace_buf = Array.make p.sp_n_comps [] in
+    let trace_ord = Array.make p.sp_n_comps 0 in
+    let on_deliver i_l delay =
+      (match local_delays with
+      | Some l -> Ffc_obs.Metrics.Histogram.Local.observe l delay
       | None -> ());
-      {
-        so_flat = flat;
-        so_events = Sim.events sim - (if warmup > 0. then 1 else 0);
-        so_injections = !injections;
-        so_hist = local_delays;
-      }
-    end
+      match trc with
+      | Some c ->
+        (* Stride sampling on the component's own delivery ordinal —
+           deterministic and sharding-independent. *)
+        let comp = p.sp_comp.(i_l) in
+        trace_ord.(comp) <- trace_ord.(comp) + 1;
+        if Ffc_obs.Ctx.sample c trace_ord.(comp) then
+          trace_buf.(comp) <-
+            Ffc_obs.Event.desim_delivery ~time:(Sim.now sim) ~conn:p.sp_conns.(i_l) ~delay
+            :: trace_buf.(comp)
+      | None -> ()
+    in
+    let klass i_l hop =
+      let a = p.sp_gws.(p.sp_paths.(i_l).(hop)) in
+      draw_fs_class p.sp_tables.(i_l).(hop) class_rngs.(a) ~rate:p.sp_rates.(i_l)
+    in
+    let fabric =
+      Fabric.create ~sim ~pool ~paths:p.sp_paths
+        ~gateways:(Array.map (fun a -> (Network.gateway net a, server_rngs.(a))) p.sp_gws)
+        ~qdisc ?buffer_limit
+        ?klass:(if discipline = Fs_priority then Some klass else None)
+        ~on_deliver ()
+    in
+    let emit pkt = Fabric.inject fabric pkt 0 in
+    Array.iteri
+      (fun i_l i ->
+        Source.start
+          (Source.create ~sim ~rng:source_rngs.(i) ~pool ~conn:i_l ~rate:p.sp_rates.(i_l)
+             ~emit ()))
+      p.sp_conns;
+    Sim.run ~until:warmup sim;
+    Measure.Flat.reset (Fabric.flat fabric) ~now:warmup;
+    Sim.run ~until:horizon sim;
+    (match trc with
+    | Some c ->
+      for comp = 0 to p.sp_n_comps - 1 do
+        List.iter (Ffc_obs.Ctx.emit c) (List.rev trace_buf.(comp))
+      done
+    | None -> ());
+    {
+      so_flat = Fabric.flat fabric;
+      so_events = Sim.events sim;
+      so_injections = Fabric.injections fabric;
+      so_hist = local_delays;
+    }
   in
   (* The per-shard span is sched-gated like the pool.* events: shard
      membership depends on --shards, so it sits outside the trace

@@ -2,14 +2,14 @@
     concrete).
 
     Assembles Poisson sources, exponential servers, and line latencies
-    from a {!Ffc_topology.Network.t}; runs to a horizon; and reports
-    time-average per-connection queue lengths at every gateway,
-    end-to-end delays, and delivered throughput over the post-warmup
-    window.  Used to validate the analytic Q(r) functions (experiment
-    E12), to study feedback with real delays (E13), and — rebuilt
-    around a struct-of-arrays packet pool, coded events, and a
-    timing-wheel calendar — to reach 10⁵–10⁶ concurrent connections
-    (E27).
+    from a {!Ffc_topology.Network.t} on the shared packet path
+    ({!Fabric}); runs to a horizon; and reports time-average
+    per-connection queue lengths at every gateway, end-to-end delays,
+    and delivered throughput over the post-warmup window.  Used to
+    validate the analytic Q(r) functions (experiment E12), to study
+    feedback with real delays (E13), and — on a struct-of-arrays packet
+    pool, coded events and a timing-wheel calendar — to reach 10⁵–10⁶
+    concurrent connections (E27).
 
     {b Sharding.}  The network is decomposed into connected components
     (gateway domains no connection crosses between); [shards] groups
@@ -33,6 +33,20 @@ type discipline =
   | Fs_priority  (** Fair Share: thinning + preemptive priority. *)
   | Fair_queueing  (** Bid-based Demers–Keshav–Shenker fair queueing. *)
 
+val qdisc_of : discipline -> Qdisc.t
+(** The gateway queue discipline that realises [discipline]. *)
+
+val fs_class_table : local_rates:float array -> rate:float -> (int * float) array
+(** Fair Share thinning table of a connection sending at [rate] through
+    a gateway whose connections send at [local_rates]: cumulative
+    [(class, rate)] pairs, one per priority level the connection takes
+    part in, the level's share proportional to its rate increment.
+    Empty when [rate <= 0]. *)
+
+val draw_fs_class : (int * float) array -> Ffc_numerics.Rng.t -> rate:float -> int
+(** Draws a packet's class from a {!fs_class_table}: one uniform draw,
+    taken even when the table is empty (class 0). *)
+
 type result
 
 val run :
@@ -41,7 +55,6 @@ val run :
   discipline:discipline ->
   seed:int ->
   ?warmup:float ->
-  ?scheduler:[ `Heap | `Wheel ] ->
   ?shards:int ->
   ?jobs:int ->
   ?buffer_limit:int ->
@@ -51,16 +64,15 @@ val run :
 (** Simulates with per-connection Poisson rates [rates]. Statistics cover
     [(warmup, horizon)]; [warmup] defaults to 10% of the horizon.
 
-    [scheduler] picks the event calendar (default [`Wheel], with a tick
-    auto-sized to the expected event rate); the choice never affects
-    results.  [shards] (default 1; clamped to the component count)
-    splits independent components over up to [jobs] domains — results
-    and traces are byte-identical at any [shards]/[jobs].
+    [shards] (default 1; clamped to the component count) splits
+    independent components over up to [jobs] domains — results and
+    traces are byte-identical at any [shards]/[jobs].
     [buffer_limit] caps each gateway's system occupancy, arrivals
     beyond it are dropped at the door (counted in {!drops}).
 
-    Raises [Invalid_argument] on negative rates, a rate-vector length
-    mismatch, [horizon <= warmup], or [shards < 1]. *)
+    Raises [Invalid_argument] on negative or non-finite rates, a
+    rate-vector length mismatch, [horizon <= warmup], [shards < 1] or
+    [buffer_limit < 1], before any simulation starts. *)
 
 val mean_queue : result -> gw:int -> conn:int -> float
 (** Time-average number of connection [conn]'s packets at gateway [gw] —

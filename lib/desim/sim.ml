@@ -1,43 +1,23 @@
 type t = {
-  sched : Scheduler.t;
+  wheel : Timing_wheel.t;
   mutable clock : float;
   mutable handlers : (int -> int -> unit) array;
   mutable n_handlers : int;
-  (* Slot table for the thunk-compatibility path (handler 0): each
-     scheduled thunk parks in a recycled slot addressed by the event's
-     [a] argument. *)
-  mutable thunks : (unit -> unit) array;
-  mutable thunk_free : int list;
-  mutable n_thunks : int;
   mutable events : int;
 }
 
-let no_thunk () = ()
-
-let default_scheduler = Scheduler.Wheel { tick = 0.015625 }
-
-let create ?(scheduler = default_scheduler) () =
-  let t =
-    {
-      sched = Scheduler.create scheduler;
-      clock = 0.;
-      handlers = Array.make 8 (fun _ _ -> ());
-      n_handlers = 0;
-      thunks = Array.make 8 no_thunk;
-      thunk_free = [];
-      n_thunks = 0;
-      events = 0;
-    }
+let create ?(events_per_time = 64.) () =
+  let tick =
+    if (not (Float.is_finite events_per_time)) || events_per_time <= 0. then 1.
+    else Float.min 1e6 (Float.max 1e-9 (1. /. events_per_time))
   in
-  (* Handler 0: run and release the thunk in slot [a]. *)
-  t.handlers.(0) <-
-    (fun a _ ->
-      let f = t.thunks.(a) in
-      t.thunks.(a) <- no_thunk;
-      t.thunk_free <- a :: t.thunk_free;
-      f ());
-  t.n_handlers <- 1;
-  t
+  {
+    wheel = Timing_wheel.create ~tick ();
+    clock = 0.;
+    handlers = Array.make 8 (fun _ _ -> ());
+    n_handlers = 0;
+    events = 0;
+  }
 
 let now t = t.clock
 
@@ -52,46 +32,22 @@ let register t f =
   t.n_handlers - 1
 
 let schedule_code t ~at ~handler ~a ~b =
-  if not (Float.is_finite at) then invalid_arg "Sim.schedule: non-finite time";
-  if at < t.clock then invalid_arg "Sim.schedule: time in the past";
-  Scheduler.schedule t.sched ~time:at ~handler ~a ~b
+  if not (Float.is_finite at) then invalid_arg "Sim.schedule_code: non-finite time";
+  if at < t.clock then invalid_arg "Sim.schedule_code: time in the past";
+  Timing_wheel.schedule t.wheel ~time:at ~handler ~a ~b
 
 let schedule_code_after t ~delay ~handler ~a ~b =
   if (not (Float.is_finite delay)) || delay < 0. then
-    invalid_arg "Sim.schedule_after: bad delay";
+    invalid_arg "Sim.schedule_code_after: bad delay";
   schedule_code t ~at:(t.clock +. delay) ~handler ~a ~b
 
-let schedule t ~at thunk =
-  if not (Float.is_finite at) then invalid_arg "Sim.schedule: non-finite time";
-  if at < t.clock then invalid_arg "Sim.schedule: time in the past";
-  let slot =
-    match t.thunk_free with
-    | s :: rest ->
-      t.thunk_free <- rest;
-      s
-    | [] ->
-      if t.n_thunks = Array.length t.thunks then begin
-        let bigger = Array.make (2 * t.n_thunks) no_thunk in
-        Array.blit t.thunks 0 bigger 0 t.n_thunks;
-        t.thunks <- bigger
-      end;
-      t.n_thunks <- t.n_thunks + 1;
-      t.n_thunks - 1
-  in
-  t.thunks.(slot) <- thunk;
-  Scheduler.schedule t.sched ~time:at ~handler:0 ~a:slot ~b:0
-
-let schedule_after t ~delay thunk =
-  if (not (Float.is_finite delay)) || delay < 0. then
-    invalid_arg "Sim.schedule_after: bad delay";
-  schedule t ~at:(t.clock +. delay) thunk
-
 let step t =
-  if Scheduler.pop t.sched then begin
-    t.clock <- Scheduler.popped_time t.sched;
+  let w = t.wheel in
+  if Timing_wheel.pop w then begin
+    t.clock <- Timing_wheel.popped_time w;
     t.events <- t.events + 1;
-    (t.handlers.(Scheduler.popped_handler t.sched))
-      (Scheduler.popped_a t.sched) (Scheduler.popped_b t.sched);
+    (t.handlers.(Timing_wheel.popped_handler w))
+      (Timing_wheel.popped_a w) (Timing_wheel.popped_b w);
     true
   end
   else false
@@ -99,11 +55,11 @@ let step t =
 let run ?until t =
   (match until with
   | None -> while step t do () done
-  | Some stop -> while Scheduler.next_time t.sched <= stop && step t do () done);
+  | Some stop -> while Timing_wheel.next_time t.wheel <= stop && step t do () done);
   match until with
   | Some stop when stop > t.clock -> t.clock <- stop
   | Some _ | None -> ()
 
-let pending t = Scheduler.size t.sched
+let pending t = Timing_wheel.size t.wheel
 
 let events t = t.events

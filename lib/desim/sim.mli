@@ -4,23 +4,20 @@
     executing an event may schedule further events.  Time never flows
     backwards.
 
-    Two scheduling APIs share one calendar:
-
-    - {!schedule}/{!schedule_after} take a thunk — the convenient form
-      for setup and tests; each call boxes one closure.
-    - {!register} + {!schedule_code} is the allocation-free hot path:
-      an entity registers its handler once at construction and then
-      schedules coded events [(handler, a, b)] — no closure and (with
-      the timing-wheel scheduler) no heap node per event.
-
-    The calendar itself is pluggable ({!Scheduler.kind}): the reference
-    binary heap or the O(1)-amortized timing wheel.  Both obey the same
-    ordering contract, so results never depend on the choice. *)
+    An entity registers its handler once at construction ({!register})
+    and then schedules coded events [(handler, a, b)] — no closure and no
+    heap node per event.  The calendar is a {!Timing_wheel}; its
+    ordering contract is exactly that of the reference {!Event_heap},
+    which the test suite checks it against. *)
 
 type t
 
-val create : ?scheduler:Scheduler.kind -> unit -> t
-(** Default scheduler: a timing wheel with a 1/64 time-unit tick. *)
+val create : ?events_per_time:float -> unit -> t
+(** [events_per_time] is the expected number of events per unit of
+    simulated time (default 64).  The wheel's tick is the mean event
+    spacing it implies, clamped to [[1e-9, 1e6]], which keeps the
+    wheel's ready-heap near one event per tick.  Any tick is correct:
+    the estimate never affects results. *)
 
 val now : t -> float
 (** Current simulation time (0 before the first event). *)
@@ -36,19 +33,15 @@ val schedule_code : t -> at:float -> handler:int -> a:int -> b:int -> unit
 val schedule_code_after : t -> delay:float -> handler:int -> a:int -> b:int -> unit
 (** [delay] must be non-negative and finite. *)
 
-val schedule : t -> at:float -> (unit -> unit) -> unit
-(** Raises [Invalid_argument] when [at] is in the past or non-finite. *)
-
-val schedule_after : t -> delay:float -> (unit -> unit) -> unit
-(** [delay] must be non-negative and finite. *)
-
 val step : t -> bool
 (** Executes the next event; [false] when the calendar is empty. *)
 
 val run : ?until:float -> t -> unit
 (** Executes events until the calendar empties or the next event is past
     [until]; the clock is then advanced to [until] when given (so
-    time-weighted measurements can close their window there). *)
+    time-weighted measurements can close their window there).  Running
+    to a warm-up instant, resetting measurements and running on is how
+    a caller opens a measurement window. *)
 
 val pending : t -> int
 (** Number of scheduled events. *)

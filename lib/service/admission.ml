@@ -812,6 +812,25 @@ let state t =
     counters = counters t;
   }
 
+(* The committed rates are a pure function of the active mask — the
+   fair steady state, bit for bit — so restore re-derives them from
+   scratch instead of trusting the file. *)
+let rate_mismatch t (s : Snapshot.state) =
+  let fair =
+    Steady_state.fair_masked ~signal:t.config.signal ~b_ss:t.config.b_ss ~net:t.net
+      ~active:s.Snapshot.active
+  in
+  let differs i =
+    Int64.bits_of_float fair.(i) <> Int64.bits_of_float s.Snapshot.rates.(i)
+  in
+  List.find_opt differs (List.init t.n Fun.id)
+  |> Option.map (fun i ->
+         Printf.sprintf
+           "snapshot rate of %s is %s, but the fair steady state of its active set is %s"
+           t.names.(i)
+           (Ffc_obs.Jsonf.float_rt s.Snapshot.rates.(i))
+           (Ffc_obs.Jsonf.float_rt fair.(i)))
+
 let restore t (s : Snapshot.state) =
   if s.Snapshot.digest <> t.digest then
     Error
@@ -820,27 +839,29 @@ let restore t (s : Snapshot.state) =
          s.Snapshot.digest t.digest)
   else if Array.length s.Snapshot.active <> t.n then
     Error "snapshot population size does not match the topology"
-  else begin
-    t.active <- Array.copy s.Snapshot.active;
-    t.ss <- Array.copy s.Snapshot.rates;
-    (* DF is rebuilt here, outside any request, so the first request
-       after a restart patches it as the uninterrupted engine would; if
-       it fails the current base stays (any DF and its point will do). *)
-    (match Jacobian.of_controller_sparse t.controller ~net:t.net ~at:t.ss with
-    | df ->
-      t.df <- df;
-      t.df_at <- t.ss
-    | exception Failure _ -> ());
-    t.rho <- s.Snapshot.rho;
-    t.rho_fresh <- s.Snapshot.rho_fresh;
-    t.vclock <- s.Snapshot.vclock;
-    t.last_time <- s.Snapshot.last_time;
-    t.seq_counter <- s.Snapshot.seq;
-    t.mutation_count <- s.Snapshot.mutations;
-    t.last_tier <- s.Snapshot.last_tier;
-    List.iter
-      (fun (k, v) ->
-        v := Option.value (List.assoc_opt k s.Snapshot.counters) ~default:0)
-      t.counts;
-    Ok ()
-  end
+  else
+    match rate_mismatch t s with
+    | Some msg -> Error msg
+    | None ->
+      t.active <- Array.copy s.Snapshot.active;
+      t.ss <- Array.copy s.Snapshot.rates;
+      (* DF is rebuilt here, outside any request, so the first request
+         after a restart patches it as the uninterrupted engine would; if
+         it fails the current base stays (any DF and its point will do). *)
+      (match Jacobian.of_controller_sparse t.controller ~net:t.net ~at:t.ss with
+      | df ->
+        t.df <- df;
+        t.df_at <- t.ss
+      | exception Failure _ -> ());
+      t.rho <- s.Snapshot.rho;
+      t.rho_fresh <- s.Snapshot.rho_fresh;
+      t.vclock <- s.Snapshot.vclock;
+      t.last_time <- s.Snapshot.last_time;
+      t.seq_counter <- s.Snapshot.seq;
+      t.mutation_count <- s.Snapshot.mutations;
+      t.last_tier <- s.Snapshot.last_tier;
+      List.iter
+        (fun (k, v) ->
+          v := Option.value (List.assoc_opt k s.Snapshot.counters) ~default:0)
+        t.counts;
+      Ok ()

@@ -173,7 +173,9 @@ val state : t -> Snapshot.state
 
 val restore : t -> Snapshot.state -> (unit, string) result
 (** Adopt a snapshot taken by an identically-configured engine; refuses
-    (with a message) on digest or size mismatch.  DF is rebuilt at the
+    (with a message) on digest or size mismatch, and when a stored rate
+    differs in any bit from the fair steady state of the stored active
+    set, which restore re-derives from scratch.  DF is rebuilt at the
     restored rates before the first request, so the resumed engine
     serves — and traces — exactly as the uninterrupted one.  Where that
     DF raises [Failure] the engine keeps its current DF as the patch

@@ -257,6 +257,84 @@ let test_drop_tail_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Golden sample paths                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Digests of every logged bit (update times, rate and signal vectors,
+   tail means, drop fractions), recorded before both loops were moved
+   onto Netsim's packet path.  Any change to a draw or to event order
+   moves them. *)
+let loop_digest (r : Closed_loop.result) =
+  bits_digest
+    (List.concat
+       [
+         Array.to_list r.times;
+         List.concat_map Array.to_list (Array.to_list r.rates);
+         List.concat_map Array.to_list (Array.to_list r.signals);
+         Array.to_list r.final_rates;
+         Array.to_list r.mean_tail_rates;
+       ])
+
+let test_golden_fs_individual () =
+  let net = Topologies.parking_lot ~latency:0.2 ~hops:2 () in
+  let n = Network.num_connections net in
+  let r =
+    Closed_loop.run ~net ~discipline:Closed_loop.Fs_priority
+      ~style:Congestion.Individual ~signal
+      ~adjusters:(Array.make n Scenario.standard_adjuster)
+      ~r0:(Array.make n 0.05) ~interval:100. ~updates:30 ~seed:6 ()
+  in
+  Alcotest.(check string) "FS/individual digest" "96adeff34a5ce967e292756940ceb0ae" (loop_digest r)
+
+(* Rates that hit 0 leave empty thinning tables while packets are still
+   in flight: the class draw must skip them without touching the
+   stream. *)
+let test_golden_fs_rates_at_zero () =
+  let net = Topologies.parking_lot ~latency:0.5 ~hops:3 () in
+  let r =
+    Closed_loop.run ~net ~discipline:Closed_loop.Fs_priority
+      ~style:Congestion.Individual ~signal
+      ~adjusters:
+        (Array.init 4 (fun i ->
+             Rate_adjust.additive ~eta:0.3 ~beta:(if i = 0 then 0.1 else 0.9)))
+      ~r0:(Array.make 4 0.3) ~interval:50. ~updates:40 ~seed:3 ()
+  in
+  check_true "some rate hit zero"
+    (Array.exists (Array.exists (fun x -> x = 0.)) r.Closed_loop.rates);
+  Alcotest.(check string) "FS rates-at-zero digest" "29ddc7ee0547752569035da369c9964a"
+    (loop_digest r)
+
+let test_golden_fifo_aggregate () =
+  let net = Topologies.single ~mu:1. ~latency:0.5 ~n:2 () in
+  let r =
+    Closed_loop.run ~net ~discipline:Closed_loop.Fifo ~style:Congestion.Aggregate
+      ~signal
+      ~adjusters:[| Scenario.timid_adjuster; Scenario.greedy_adjuster |]
+      ~r0:[| 0.2; 0.2 |] ~interval:100. ~updates:30 ~seed:4 ()
+  in
+  Alcotest.(check string) "FIFO/aggregate digest" "fd49398aa4117310fdc6e4887607b3b2" (loop_digest r)
+
+let test_golden_drop_tail () =
+  let net = Topologies.parking_lot ~latency:0.1 ~hops:2 () in
+  let n = Network.num_connections net in
+  let r =
+    Closed_loop.run_drop_tail ~net ~buffer:4
+      ~adjusters:(Array.make n (Rate_adjust.aimd ~increase:0.02 ~decrease:0.3))
+      ~r0:(Array.make n 0.3) ~interval:100. ~updates:40 ~seed:21 ()
+  in
+  check_true "drops occurred" (Array.exists (fun f -> f > 0.) r.Closed_loop.drop_fraction);
+  Alcotest.(check string) "drop-tail digest" "bf481b5c4b7e99813374f5aa50a5ab5d"
+    (bits_digest
+       (List.concat
+          [
+            Array.to_list r.dr_times;
+            List.concat_map Array.to_list (Array.to_list r.dr_rates);
+            Array.to_list r.dr_mean_tail_rates;
+            Array.to_list r.drop_fraction;
+            [ r.mean_utilization ];
+          ]))
+
 let suites =
   [
     ( "closedloop",
@@ -278,5 +356,9 @@ let suites =
         case "measure drop counters" test_measure_drops;
         case "drop-driven AIMD controls congestion" test_drop_tail_loop_controls_congestion;
         case "drop-tail validation" test_drop_tail_validation;
+        case "golden FS/individual" test_golden_fs_individual;
+        case "golden FS rates at zero" test_golden_fs_rates_at_zero;
+        case "golden FIFO/aggregate" test_golden_fifo_aggregate;
+        case "golden drop-tail" test_golden_drop_tail;
       ] );
   ]

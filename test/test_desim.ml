@@ -109,32 +109,36 @@ let test_heap_shrinks_when_quarter_full () =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~at:2. (fun () -> log := "b" :: !log);
-  Sim.schedule sim ~at:1. (fun () -> log := "a" :: !log);
+  let h = Sim.register sim (fun a _ -> log := a :: !log) in
+  Sim.schedule_code sim ~at:2. ~handler:h ~a:2 ~b:0;
+  Sim.schedule_code sim ~at:1. ~handler:h ~a:1 ~b:0;
   Sim.run sim;
-  Alcotest.(check (list string)) "execution order" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check (list int)) "execution order" [ 1; 2 ] (List.rev !log);
   check_float "clock at last event" 2. (Sim.now sim)
+
+(* A handler that counts its calls and reschedules itself one time unit
+   later while [again] holds. *)
+let ticker sim ~again =
+  let count = ref 0 in
+  let h = ref (-1) in
+  h :=
+    Sim.register sim (fun _ _ ->
+        Stdlib.incr count;
+        if again !count then
+          Sim.schedule_code_after sim ~delay:1. ~handler:!h ~a:0 ~b:0);
+  Sim.schedule_code sim ~at:0. ~handler:!h ~a:0 ~b:0;
+  count
 
 let test_sim_cascading () =
   let sim = Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    Stdlib.incr count;
-    if !count < 5 then Sim.schedule_after sim ~delay:1. tick
-  in
-  Sim.schedule sim ~at:0. tick;
+  let count = ticker sim ~again:(fun n -> n < 5) in
   Sim.run sim;
   Alcotest.(check int) "cascade count" 5 !count;
   check_float "final clock" 4. (Sim.now sim)
 
 let test_sim_until () =
   let sim = Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    Stdlib.incr count;
-    Sim.schedule_after sim ~delay:1. tick
-  in
-  Sim.schedule sim ~at:0. tick;
+  let count = ticker sim ~again:(fun _ -> true) in
   Sim.run ~until:3.5 sim;
   Alcotest.(check int) "only events <= until" 4 !count;
   check_float "clock advanced to until" 3.5 (Sim.now sim);
@@ -142,10 +146,12 @@ let test_sim_until () =
 
 let test_sim_past_rejected () =
   let sim = Sim.create () in
-  Sim.schedule sim ~at:5. (fun () -> ());
+  let h = Sim.register sim (fun _ _ -> ()) in
+  Sim.schedule_code sim ~at:5. ~handler:h ~a:0 ~b:0;
   Sim.run sim;
-  Alcotest.check_raises "past scheduling" (Invalid_argument "Sim.schedule: time in the past")
-    (fun () -> Sim.schedule sim ~at:1. (fun () -> ()))
+  Alcotest.check_raises "past scheduling"
+    (Invalid_argument "Sim.schedule_code: time in the past")
+    (fun () -> Sim.schedule_code sim ~at:1. ~handler:h ~a:0 ~b:0)
 
 (* ------------------------------------------------------------------ *)
 (* Measure                                                             *)
@@ -439,30 +445,31 @@ let test_wheel_next_time () =
   check_float "after pop" 42. (Timing_wheel.next_time w)
 
 let prop_wheel_matches_heap =
-  (* The satellite contract: on randomized schedules — ties, cascades,
-     overflow hops, interleaved pops — the wheel pops the exact (time,
-     sequence) order of the reference heap scheduler. *)
+  (* On randomized schedules — ties, cascades, overflow hops,
+     interleaved pops — the wheel pops the exact (time, sequence) order
+     of the reference heap. *)
   prop "wheel pops identically to reference heap" ~count:60
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
     (fun (seed, tick_sel) ->
       let tick = [| 1.0; 0.015625; 37.5 |].(tick_sel) in
-      let heap = Scheduler.create Scheduler.Heap in
-      let wheel = Scheduler.create (Scheduler.Wheel { tick }) in
+      let heap = Event_heap.create () in
+      let wheel = Timing_wheel.create ~tick () in
       let rng = Rng.create (seed + 1) in
       let now = ref 0. in
       let ok = ref true in
       let pop_both () =
-        let hp = Scheduler.pop heap and wp = Scheduler.pop wheel in
-        if hp <> wp then ok := false
-        else if hp then begin
+        let wp = Timing_wheel.pop wheel in
+        match Event_heap.pop_min heap with
+        | None -> if wp then ok := false
+        | Some (time, (handler, a)) ->
           if
             not
-              (Scheduler.popped_time heap = Scheduler.popped_time wheel
-              && Scheduler.popped_handler heap = Scheduler.popped_handler wheel
-              && Scheduler.popped_a heap = Scheduler.popped_a wheel)
+              (wp
+              && time = Timing_wheel.popped_time wheel
+              && handler = Timing_wheel.popped_handler wheel
+              && a = Timing_wheel.popped_a wheel)
           then ok := false;
-          now := Scheduler.popped_time heap
-        end
+          now := time
       in
       let n = ref 0 in
       for step = 1 to 400 do
@@ -479,15 +486,15 @@ let prop_wheel_matches_heap =
             in
             let time = !now +. dt in
             incr n;
-            Scheduler.schedule heap ~time ~handler:step ~a:!n ~b:0;
-            Scheduler.schedule wheel ~time ~handler:step ~a:!n ~b:0
+            Event_heap.push heap ~time (step, !n);
+            Timing_wheel.schedule wheel ~time ~handler:step ~a:!n ~b:0
           end
           else pop_both ()
       done;
-      while !ok && Scheduler.size heap > 0 do
+      while !ok && Event_heap.size heap > 0 do
         pop_both ()
       done;
-      !ok && Scheduler.size wheel = 0)
+      !ok && Timing_wheel.size wheel = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Packet pool                                                         *)
@@ -556,7 +563,7 @@ let test_pool_double_free () =
   check_false "never-allocated id is not live" (Packet.Pool.is_live p 9)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded simulation: byte-identical at any shards/jobs/scheduler     *)
+(* Sharded simulation: byte-identical at any shards/jobs              *)
 (* ------------------------------------------------------------------ *)
 
 let fingerprint net r =
@@ -626,16 +633,6 @@ let test_shard_invariance_with_drops () =
        (List.init (Network.num_connections net) Fun.id));
   check_true "dropful run bitwise-identical across shards" (run ~shards:6 ~jobs:3 = base)
 
-let test_scheduler_invariance () =
-  let net = shard_net () in
-  let rates = shard_rates net in
-  let run scheduler =
-    fingerprint net
-      (Netsim.run ~net ~rates ~discipline:Netsim.Fair_queueing ~seed:93 ~scheduler
-         ~shards:3 ~horizon:1_500. ())
-  in
-  check_true "heap and wheel bitwise-identical" (run `Heap = run `Wheel)
-
 let test_components_counted () =
   let net = shard_net () in
   let r =
@@ -669,6 +666,61 @@ let test_shard_trace_invariance () =
   check_true "trace non-empty" (String.length a > 0);
   Alcotest.(check string) "trace identical at shards=4 jobs=3" a (trace ~shards:4 ~jobs:3);
   Alcotest.(check string) "trace identical at shards=6 jobs=1" a (trace ~shards:6 ~jobs:1)
+
+(* ------------------------------------------------------------------ *)
+(* Golden sample paths                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Digests of whole-run fingerprints (every occupancy, delay and
+   confidence bit, deliveries, drops, events), recorded before Netsim
+   and the closed loops were moved onto one shared packet path.  Any
+   change to a draw, to event order or to the warm-up window moves
+   them. *)
+let netsim_digest net r =
+  let floats, events = fingerprint net r in
+  bits_digest ~ints:[ events ] floats
+
+let test_golden_fifo_buffer () =
+  let net = shard_net () in
+  let rates =
+    Array.init (Network.num_connections net) (fun i -> if i mod 3 = 0 then 1.4 else 0.2)
+  in
+  let r =
+    Netsim.run ~net ~rates ~discipline:Netsim.Fifo ~seed:92 ~buffer_limit:8
+      ~horizon:1_000. ()
+  in
+  Alcotest.(check string) "FIFO drop-tail digest" "7f5f80df90c138ee1208916caf2ae19a"
+    (netsim_digest net r)
+
+let test_golden_fair_share () =
+  let net = shard_net () in
+  let r =
+    Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed:91
+      ~horizon:2_000. ()
+  in
+  Alcotest.(check string) "FS digest" "f3ff204b9bdfbbb46277012eca1ae6a7"
+    (netsim_digest net r)
+
+let test_golden_fair_queueing () =
+  let net = shard_net () in
+  let r =
+    Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fair_queueing ~seed:93
+      ~shards:3 ~horizon:1_500. ()
+  in
+  Alcotest.(check string) "FQ digest" "5649c3bcf362538d151214a5c22c79c8"
+    (netsim_digest net r)
+
+let test_golden_trace () =
+  let open Ffc_obs in
+  let net = shard_net () in
+  let sink = Sink.buffer () in
+  let ctx = Ctx.make ~sink ~stride:20 () in
+  ignore
+    (Ctx.with_ctx ctx (fun () ->
+         Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed:95
+           ~horizon:500. ()));
+  Alcotest.(check string) "FS trace digest" "97827344ce08477d0592343f8e2e378d"
+    (Digest.to_hex (Digest.string (Sink.contents sink)))
 
 let suites =
   [
@@ -741,8 +793,14 @@ let suites =
       [
         case "stats bitwise-identical across shards/jobs" test_shard_invariance;
         case "drop path shard-invariant" test_shard_invariance_with_drops;
-        case "heap vs wheel identical" test_scheduler_invariance;
         case "component discovery" test_components_counted;
         case "traces byte-identical across shards" test_shard_trace_invariance;
+      ] );
+    ( "desim.golden",
+      [
+        case "FIFO with buffer limit" test_golden_fifo_buffer;
+        case "Fair Share" test_golden_fair_share;
+        case "fair queueing" test_golden_fair_queueing;
+        case "Fair Share trace" test_golden_trace;
       ] );
   ]

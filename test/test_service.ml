@@ -480,6 +480,42 @@ let test_restart_resumes_bit_identically () =
       Alcotest.(check (list string))
         "post-restart decision log byte-identical" replies_a replies_b)
 
+(* The committed rates are re-derived on restore, never trusted.  The
+   regression: a single:8 snapshot whose first rate was edited from
+   0.1666… to 0.2666… used to be adopted, and the next query ran its
+   supervisor from the corrupted rates. *)
+let test_snapshot_edited_rates_refused () =
+  let path = Filename.temp_file "ffc_snap" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let engine_a, _ = make_engine ~n:8 () in
+      let server_a = Server.create ~snapshot_path:path engine_a in
+      ignore (Server.run_script server_a [ "add t=0.1"; "add t=0.2"; "add t=0.3"; "snapshot" ]);
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let stored = "rates 0.16666666666666666 " in
+      let edited =
+        String.split_on_char '\n' text
+        |> List.map (fun l ->
+               if String.starts_with ~prefix:stored l then
+                 "rates 0.26666666666666666 "
+                 ^ String.sub l (String.length stored) (String.length l - String.length stored)
+               else l)
+        |> String.concat "\n"
+      in
+      check_true "first rate edited" (edited <> text);
+      let write s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
+      let recover () = Server.recover (Server.create ~snapshot_path:path (fst (make_engine ~n:8 ()))) in
+      write edited;
+      (match recover () with
+      | Ok _ -> Alcotest.fail "edited rates must be refused"
+      | Error e -> check_true "names the connection" (contains e "conn0"));
+      write text;
+      match recover () with
+      | Ok true -> ()
+      | Ok false -> Alcotest.fail "snapshot not found"
+      | Error e -> Alcotest.fail e)
+
 (* ------------------------------------------------------------------ *)
 (* Server dispatch                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -570,8 +606,8 @@ let storm_config =
 (* Drive a Poisson churn stream through [server] over [clients]
    rotating sessions, as [ffc drive --clients] does: the churn stats, a
    [send] for follow-up requests, and the full reply log. *)
-let drive ?(clients = 1) ?(batch = 1) ?(query_every = 0) server ~seed ~rate
-    ~arrivals ~size_dist =
+let drive ?(clients = 1) ?(batch = 1) ?(query_every = 0) ?(after = ignore) server
+    ~seed ~rate ~arrivals ~size_dist =
   let sessions =
     Array.init clients (fun i -> Server.new_session ~sid:(i + 1) ())
   in
@@ -589,8 +625,16 @@ let drive ?(clients = 1) ?(batch = 1) ?(query_every = 0) server ~seed ~rate
     next := (!next + 1) mod clients;
     s
   in
-  let send line = String.concat "\n" (serve (pick ()) line) in
-  let send_batch lines = List.concat_map (serve (pick ())) lines in
+  let send line =
+    let r = String.concat "\n" (serve (pick ()) line) in
+    after ();
+    r
+  in
+  let send_batch lines =
+    let rs = List.concat_map (serve (pick ())) lines in
+    after ();
+    rs
+  in
   let stats =
     Churn.run ~query_every ~batch ~send_batch ~seed ~rate ~arrivals ~size_dist
       ~send ()
@@ -637,6 +681,34 @@ let test_churn_storm_deterministic () =
   let _, _, _, log_a = run_storm () in
   let _, _, _, log_b = run_storm () in
   Alcotest.(check string) "storm decision log byte-identical" log_a log_b
+
+(* Restore re-derives the committed rates, so it must accept every state
+   the engine can commit: after each request of the flap storm (which
+   walks the whole ladder, shed included) and of a batched surge. *)
+let test_restore_accepts_every_committed_state () =
+  let follow ~config ~net =
+    let engine, _ = make_engine ~config ~net () in
+    let after () =
+      match Admission.restore (fst (make_engine ~config ~net ())) (Admission.state engine) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+    in
+    (Server.create engine, after)
+  in
+  let server, after =
+    follow ~config:storm_config ~net:(Topologies.single ~mu:1. ~n:12 ())
+  in
+  ignore
+    (drive server ~after ~query_every:16 ~seed:11 ~rate:40. ~arrivals:120
+       ~size_dist:(Churn.Exp 0.5));
+  let server, after =
+    follow
+      ~config:{ Admission.default_config with sup_retries = 0 }
+      ~net:(Topologies.multi_parking_lot ~lots:8 ~hops:3 ())
+  in
+  ignore
+    (drive server ~after ~clients:2 ~batch:8 ~query_every:50 ~seed:1 ~rate:100.
+       ~arrivals:300 ~size_dist:(Churn.Exp 0.25))
 
 (* Golden reply logs: MD5 digests of full reply streams, captured before
    the admission pipeline moved every tier onto the patch kernels.  The
@@ -1107,6 +1179,8 @@ let suites =
         case "state round-trip" test_snapshot_state_roundtrip;
         case "corruption and digest mismatch refused" test_snapshot_corruption_detected;
         case "restart resumes bit-identically" test_restart_resumes_bit_identically;
+        case "edited rates refused" test_snapshot_edited_rates_refused;
+        case "restore accepts committed states" test_restore_accepts_every_committed_state;
       ] );
     ( "service.server",
       [

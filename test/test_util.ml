@@ -29,3 +29,12 @@ let case name f = Alcotest.test_case name `Quick f
 let prop name ?(count = 200) gen law =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xffc |])
     (QCheck2.Test.make ~name ~count gen law)
+
+(* MD5 over the exact bit patterns of [floats] followed by [ints]: the
+   fingerprint behind the golden sample-path tests, where "close" is
+   not good enough. *)
+let bits_digest ?(ints = []) floats =
+  let b = Buffer.create 4096 in
+  List.iter (fun x -> Printf.bprintf b "%Lx," (Int64.bits_of_float x)) floats;
+  List.iter (fun n -> Printf.bprintf b "%d;" n) ints;
+  Digest.to_hex (Digest.string (Buffer.contents b))
