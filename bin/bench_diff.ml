@@ -1,38 +1,45 @@
 (* The perf-regression comparator behind `ffc bench diff`.
 
-   BENCH.json's "kernels" section is one flat JSON object per line,
-   each carrying "name" and "ns_per_run" — exactly the fields the
-   Jsonf scrapers read, so no JSON parser dependency.  Other sections
-   ("scans", "obs", "sparse", ...) have no "ns_per_run" field and fall
-   through the scrape, which is what makes line-by-line scanning of
-   the whole file safe. *)
+   A row is any object, in any section at any depth, with a string
+   "name" and a number "ns_per_run"; its optional "identical" flag is
+   the bench harness's own output-identity check.  Names are unique
+   across the file, so a row is keyed by its name alone. *)
 
-type kernel = { ns_per_run : float }
+module J = Ffc_obs.Jsonf
+
+type sample = { ns_per_run : float; identical : bool option }
 
 let parse_file path =
   let text =
-    try In_channel.with_open_text path In_channel.input_all
+    try In_channel.with_open_bin path In_channel.input_all
     with Sys_error e -> Exit_code.fail e
   in
+  let doc =
+    match J.of_string text with
+    | Ok v -> v
+    | Error (at, why) -> Exit_code.fail (Printf.sprintf "%s: byte %d: %s" path at why)
+  in
   let rows = ref [] in
-  List.iter
-    (fun line ->
-      match
-        ( Ffc_obs.Jsonf.string_field line ~key:"name",
-          Ffc_obs.Jsonf.number_field line ~key:"ns_per_run" )
-      with
-      | Some name, Some ns -> rows := (name, { ns_per_run = ns }) :: !rows
-      | _ -> ())
-    (String.split_on_char '\n' text);
+  let rec walk v =
+    match (v, J.get J.as_string "name" v, J.get J.as_float "ns_per_run" v) with
+    | J.Object _, Some name, Some ns_per_run ->
+      if List.mem_assoc name !rows then
+        Exit_code.fail (Printf.sprintf "%s: duplicate row %S" path name);
+      rows := (name, { ns_per_run; identical = J.get J.as_bool "identical" v }) :: !rows
+    | J.Object fields, _, _ -> List.iter (fun (_, v) -> walk v) fields
+    | J.Array vs, _, _ -> List.iter walk vs
+    | _ -> ()
+  in
+  walk doc;
   if !rows = [] then
-    Exit_code.fail (Printf.sprintf "%s: no kernel rows (name + ns_per_run)" path);
+    Exit_code.fail (Printf.sprintf "%s: no rows (name + ns_per_run)" path);
   List.rev !rows
 
 (* Tolerances are percentages of allowed slowdown.  A spec is either a
-   bare "PCT" (the default for every kernel) or "NAME=PCT" — split on
-   the {e last} '=' because kernel names themselves contain '='
+   bare "PCT" (the default for every row) or "NAME=PCT" — split on the
+   {e last} '=' because row names themselves contain '='
    (e.g. "ffc/desim 1000 time units (FS, rho=0.6)"). *)
-type tolerances = { default : float; per_kernel : (string * float) list }
+type tolerances = { default : float; per_row : (string * float) list }
 
 let parse_tolerances specs =
   let parse_pct spec s =
@@ -47,16 +54,16 @@ let parse_tolerances specs =
       | Some i ->
         let name = String.sub spec 0 i in
         let pct = String.sub spec (i + 1) (String.length spec - i - 1) in
-        { acc with per_kernel = (name, parse_pct spec pct) :: acc.per_kernel })
-    { default = 100.; per_kernel = [] }
+        { acc with per_row = (name, parse_pct spec pct) :: acc.per_row })
+    { default = 100.; per_row = [] }
     specs
 
 let tolerance_for tol name =
-  match List.assoc_opt name tol.per_kernel with
+  match List.assoc_opt name tol.per_row with
   | Some p -> p
   | None -> tol.default
 
-type verdict = Ok_within | Regression | Improved | Added | Removed
+type verdict = Ok_within | Regression | Improved | Added | Removed | Not_identical
 
 let verdict_label = function
   | Ok_within -> "ok"
@@ -64,6 +71,7 @@ let verdict_label = function
   | Improved -> "improved"
   | Added -> "added"
   | Removed -> "REMOVED"
+  | Not_identical -> "NOT IDENTICAL"
 
 type row = {
   r_name : string;
@@ -81,9 +89,11 @@ let diff ~tol old_rows new_rows =
   List.map
     (fun name ->
       let r_tol = tolerance_for tol name in
-      let r_old = Option.map (fun k -> k.ns_per_run) (List.assoc_opt name old_rows) in
-      let r_new = Option.map (fun k -> k.ns_per_run) (List.assoc_opt name new_rows) in
-      let r_delta_pct, r_verdict =
+      let old_row = List.assoc_opt name old_rows in
+      let new_row = List.assoc_opt name new_rows in
+      let r_old = Option.map (fun k -> k.ns_per_run) old_row in
+      let r_new = Option.map (fun k -> k.ns_per_run) new_row in
+      let r_delta_pct, timing =
         match (r_old, r_new) with
         | Some o, Some n when o > 0. ->
           let d = (n -. o) /. o *. 100. in
@@ -96,18 +106,25 @@ let diff ~tol old_rows new_rows =
         | None, Some _ -> (None, Added)
         | None, None -> (None, Ok_within)
       in
+      let r_verdict =
+        match new_row with
+        | Some { identical = Some false; _ } -> Not_identical
+        | _ -> timing
+      in
       { r_name = name; r_old; r_new; r_delta_pct; r_tol; r_verdict })
     names
 
-let failed rows =
-  List.exists (fun r -> r.r_verdict = Regression || r.r_verdict = Removed) rows
+let failing r =
+  match r.r_verdict with
+  | Regression | Removed | Not_identical -> true
+  | Ok_within | Improved | Added -> false
 
 let ns_cell = function None -> "-" | Some ns -> Printf.sprintf "%.0f" ns
 
 let render rows =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    (Printf.sprintf "%-58s %12s %12s %9s %6s  %s\n" "kernel" "old ns/run"
+    (Printf.sprintf "%-58s %12s %12s %9s %6s  %s\n" "row" "old ns/run"
        "new ns/run" "delta" "tol" "verdict");
   List.iter
     (fun r ->
@@ -126,13 +143,10 @@ let render rows =
         match r.r_delta_pct with Some d -> Float.max acc d | None -> acc)
       Float.neg_infinity rows
   in
-  let regressions =
-    List.length (List.filter (fun r -> r.r_verdict = Regression) rows)
-  in
-  let removed = List.length (List.filter (fun r -> r.r_verdict = Removed) rows) in
+  let count v = List.length (List.filter (fun r -> r.r_verdict = v) rows) in
   Buffer.add_string buf
-    (Printf.sprintf "%d kernels compared: %d regression(s), %d removed%s\n"
-       (List.length rows) regressions removed
+    (Printf.sprintf "%d rows compared: %d regression(s), %d removed, %d not identical%s\n"
+       (List.length rows) (count Regression) (count Removed) (count Not_identical)
        (if Float.is_finite worst then Printf.sprintf ", worst delta %+.1f%%" worst
         else ""));
   Buffer.contents buf
@@ -141,4 +155,4 @@ let run ~old_path ~new_path ~tolerance_specs =
   let tol = parse_tolerances tolerance_specs in
   let rows = diff ~tol (parse_file old_path) (parse_file new_path) in
   print_string (render rows);
-  if failed rows then Exit_code.regression else Exit_code.ok
+  if List.exists failing rows then Exit_code.regression else Exit_code.ok

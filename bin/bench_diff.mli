@@ -1,17 +1,22 @@
 (** The comparator behind [ffc bench diff OLD.json NEW.json].
 
-    Scrapes the per-kernel ["name"]/["ns_per_run"] rows out of two
-    BENCH.json files (one flat JSON object per line — no JSON parser
-    needed) and compares them under per-kernel slowdown tolerances. *)
+    Parses both BENCH.json files with {!Ffc_obs.Jsonf.of_string} and
+    compares every row — any object, in any section at any depth, with
+    a string ["name"] and a number ["ns_per_run"] — under per-row
+    slowdown tolerances. *)
 
 val run :
   old_path:string -> new_path:string -> tolerance_specs:string list -> int
 (** Print the delta table and return the process exit code:
-    {!Exit_code.ok}, or {!Exit_code.regression} when any kernel slowed
-    down past its tolerance or disappeared from [new_path].
+    {!Exit_code.ok}, or {!Exit_code.regression} when any row slowed
+    down past its tolerance, disappeared from [new_path], or carries
+    ["identical": false] in [new_path] (the harness's own
+    output-identity check failed).  A file that is not strict JSON, has
+    no rows, or repeats a row name exits {!Exit_code.usage}, naming the
+    byte offset of a syntax error.
 
     Each tolerance spec is either ["PCT"] (the default allowed slowdown
-    percentage for every kernel, initially 100) or ["NAME=PCT"] for one
-    kernel — split on the {e last} ['='], since kernel names may contain
-    ['='].  A kernel that {e speeds up} past its tolerance is reported
-    as improved but never fails the diff. *)
+    percentage for every row, initially 100) or ["NAME=PCT"] for one
+    row — split on the {e last} ['='], since row names may contain
+    ['='].  A row that {e speeds up} past its tolerance is reported as
+    improved but never fails the diff. *)

@@ -5,7 +5,9 @@
     (cmdliner also uses 1 for its own parse errors), 3 a supervised or
     analyzed run diverged, 4 a run hit its step budget without
     converging, 5 the gateway service failed to start or recover, 6 a
-    benchmark comparison found a performance regression. *)
+    benchmark comparison failed: a row slowed down past its tolerance,
+    a row was removed, or a row's identity check reads
+    ["identical": false]. *)
 
 val ok : int
 val usage : int

@@ -1194,8 +1194,8 @@ let bench_cmd =
         & info [ "tolerance" ] ~docv:"[NAME=]PCT"
             ~doc:
               "Allowed ns/run slowdown in percent: a bare $(b,PCT) sets the \
-               default for every kernel (initially 100), $(b,NAME=PCT) \
-               overrides one kernel (split on the last $(b,=)). Repeatable.")
+               default for every row (initially 100), $(b,NAME=PCT) \
+               overrides one row (split on the last $(b,=)). Repeatable.")
     in
     let run old_path new_path tolerance_specs =
       exit (Bench_diff.run ~old_path ~new_path ~tolerance_specs)
@@ -1203,9 +1203,12 @@ let bench_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Compare the per-kernel ns/run of two BENCH.json files and print \
-            the delta table. Exits 6 when any kernel slowed down past its \
-            tolerance or disappeared — the CI perf-regression gate.")
+           "Compare the ns/run of every row (any object with a name and \
+            ns_per_run, in every section) of two BENCH.json files and print \
+            the delta table. Exits 6 when any row slowed down past its \
+            tolerance, disappeared, or reads \"identical\": false in NEW — \
+            the CI perf-regression gate. Exits 1, naming the byte offset, \
+            when a file is not valid JSON.")
       Term.(const run $ old_term $ new_term $ tolerance_term)
   in
   Cmd.group

@@ -190,10 +190,17 @@ let read_run_stats store =
   match In_channel.with_open_bin (Store.run_stats_path store) In_channel.input_all with
   | exception Sys_error _ -> None
   | data -> (
-    try
-      Scanf.sscanf data
-        "{\"hits\": %d, \"misses\": %d, \"stores\": %d, \"evictions\": %d, \
-         \"hit_ratio\": %f}"
-        (fun hits misses stores evictions ratio ->
-          Some ({ hits; misses; stores; evictions }, ratio))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+    let module J = Ffc_obs.Jsonf in
+    match J.of_string data with
+    | Error _ -> None
+    | Ok v -> (
+      match
+        ( J.get J.as_int "hits" v,
+          J.get J.as_int "misses" v,
+          J.get J.as_int "stores" v,
+          J.get J.as_int "evictions" v,
+          J.get J.as_float "hit_ratio" v )
+      with
+      | Some hits, Some misses, Some stores, Some evictions, Some ratio ->
+        Some ({ hits; misses; stores; evictions }, ratio)
+      | _ -> None))

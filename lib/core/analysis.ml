@@ -22,7 +22,7 @@ type report = {
   df_triangular : bool option;
 }
 
-let evaluate ?tol ?max_steps ?(manifold_dim = 0) ?struct_tol design ~adjusters ~net ~r0 =
+let evaluate ?tol ?max_steps ?(manifold_dim = 0) design ~adjusters ~net ~r0 =
   let controller = Controller.create ~config:design.config ~adjusters in
   let outcome = Controller.run ?tol ?max_steps controller ~net ~r0 in
   match outcome with
@@ -48,8 +48,8 @@ let evaluate ?tol ?max_steps ?(manifold_dim = 0) ?struct_tol design ~adjusters ~
       robust;
       unilateral = Some (Jacobian.unilaterally_stable df);
       systemic =
-        Some (Jacobian.systemically_stable ~ignore_unit:manifold_dim ?struct_tol df);
-      spectral_radius = Some (Jacobian.spectral_radius ?struct_tol df);
+        Some (Jacobian.systemically_stable ~ignore_unit:manifold_dim df);
+      spectral_radius = Some (Jacobian.spectral_radius df);
       df_triangular = Some (Jacobian.triangular_in_rate_order df ~rates:steady);
     }
   | Controller.Cycle _ | Controller.Diverged _ | Controller.No_convergence _ ->
@@ -66,12 +66,12 @@ let evaluate ?tol ?max_steps ?(manifold_dim = 0) ?struct_tol design ~adjusters ~
       df_triangular = None;
     }
 
-let evaluate_all ?tol ?max_steps ?manifold_dim ?struct_tol ?jobs ~adjusters ~net r0 =
+let evaluate_all ?tol ?max_steps ?manifold_dim ?jobs ~adjusters ~net r0 =
   (* The three designs are independent; evaluate them on separate
      domains, keeping the report order fixed. *)
   Pool.parallel_map
     ~jobs:(Pool.effective_jobs ?jobs ())
-    (fun d -> evaluate ?tol ?max_steps ?manifold_dim ?struct_tol d ~adjusters ~net ~r0)
+    (fun d -> evaluate ?tol ?max_steps ?manifold_dim d ~adjusters ~net ~r0)
     (Array.of_list designs)
   |> Array.to_list
 

@@ -29,19 +29,16 @@ type report = {
 }
 
 val evaluate :
-  ?tol:float -> ?max_steps:int -> ?manifold_dim:int -> ?struct_tol:float ->
+  ?tol:float -> ?max_steps:int -> ?manifold_dim:int ->
   design -> adjusters:Rate_adjust.t array -> net:Network.t -> r0:Vec.t -> report
 (** Full single-design evaluation. [manifold_dim] eigenvalues of modulus
     ~1 are discounted in the systemic-stability verdict (aggregate
     feedback at a single gateway has an (N−1)-dimensional steady
-    manifold). [struct_tol] is threaded through to the spectrum's
-    triangular-structure detection (default: exact zeros, unchanged).
-    Robustness verdicts require every adjuster to declare its
+    manifold).  Robustness verdicts require every adjuster to declare its
     b_SS; otherwise [robust = None]. *)
 
 val evaluate_all :
-  ?tol:float -> ?max_steps:int -> ?manifold_dim:int -> ?struct_tol:float ->
-  ?jobs:int ->
+  ?tol:float -> ?max_steps:int -> ?manifold_dim:int -> ?jobs:int ->
   adjusters:Rate_adjust.t array -> net:Network.t -> Vec.t -> report list
 (** [evaluate_all ~adjusters ~net r0] — {!evaluate} over {!designs},
     one domain per design (up to [jobs], default

@@ -344,8 +344,7 @@ let unilaterally_stable ?(tol = 1e-9) df =
   let d = Mat.diagonal df in
   Array.for_all (fun x -> Float.abs x < 1. -. tol) d
 
-let systemically_stable ?tol ?ignore_unit ?struct_tol df =
-  Eigen.is_linearly_stable ?tol ?ignore_unit ?struct_tol df
+let systemically_stable ?tol ?ignore_unit df = Eigen.is_linearly_stable ?tol ?ignore_unit df
 
 (* Cached eigen spectra (tiers "eigen.spectrum"/"eigen.spectrum_sorted"/
    "eigen.spectrum.sparse"): keyed on the matrix content, so they
@@ -370,19 +369,9 @@ let decode_spectrum r =
       let im = Ffc_cache.Codec.get_float r in
       { Complex.re; im })
 
-let add_struct_tol ~struct_tol k =
-  match struct_tol with
-  | None -> Ffc_cache.Key.bool k false
-  | Some t ->
-    Ffc_cache.Key.bool k true;
-    Ffc_cache.Key.float k t
+let spectrum_key df k = Cache_key.add_mat k df
 
-let spectrum_key ~struct_tol df k =
-  add_struct_tol ~struct_tol k;
-  Cache_key.add_mat k df
-
-let sparse_spectrum_key ~struct_tol s k =
-  add_struct_tol ~struct_tol k;
+let sparse_spectrum_key s k =
   let row_ptr, col_idx, values = Mat.Sparse.to_csr s in
   Ffc_cache.Key.int k (Mat.Sparse.rows s);
   Ffc_cache.Key.int k (Mat.Sparse.cols s);
@@ -390,36 +379,27 @@ let sparse_spectrum_key ~struct_tol s k =
   Array.iter (Ffc_cache.Key.int k) col_idx;
   Ffc_cache.Key.floats k values
 
-let eigenvalues ?struct_tol df =
-  Ffc_cache.Cache.memo ~tier:"eigen.spectrum"
-    ~build:(spectrum_key ~struct_tol df)
+let eigenvalues df =
+  Ffc_cache.Cache.memo ~tier:"eigen.spectrum" ~build:(spectrum_key df)
     ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues ?struct_tol df)
+    (fun () -> Eigen.eigenvalues df)
 
-let eigenvalues_sorted ?struct_tol df =
-  Ffc_cache.Cache.memo ~tier:"eigen.spectrum_sorted"
-    ~build:(spectrum_key ~struct_tol df)
+let eigenvalues_sorted df =
+  Ffc_cache.Cache.memo ~tier:"eigen.spectrum_sorted" ~build:(spectrum_key df)
     ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues_sorted ?struct_tol df)
+    (fun () -> Eigen.eigenvalues_sorted df)
 
-let eigenvalues_sparse ?struct_tol s =
-  Ffc_cache.Cache.memo ~tier:"eigen.spectrum.sparse"
-    ~build:(sparse_spectrum_key ~struct_tol s)
+let eigenvalues_sparse s =
+  Ffc_cache.Cache.memo ~tier:"eigen.spectrum.sparse" ~build:(sparse_spectrum_key s)
     ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues_sparse ?struct_tol s)
+    (fun () -> Eigen.eigenvalues_sparse s)
 
 let spectral_radius_of ev =
   Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. ev
 
-(* Same fold Eigen.spectral_radius uses, over the cached spectrum.
-   [struct_tol] is threaded through to the structure detection — it
-   used to be silently dropped here, so a caller asking for a relaxed
-   triangularity tolerance still paid (and keyed) the exact-zero
-   default. *)
-let spectral_radius ?struct_tol df = spectral_radius_of (eigenvalues ?struct_tol df)
-
-let spectral_radius_sparse ?struct_tol s =
-  spectral_radius_of (eigenvalues_sparse ?struct_tol s)
+(* Same fold Eigen.spectral_radius uses, over the cached spectrum. *)
+let spectral_radius df = spectral_radius_of (eigenvalues df)
+let spectral_radius_sparse s = spectral_radius_of (eigenvalues_sparse s)
 
 (* Cheap rho(DF) after an incremental update: the structural diagonal
    when the updated CSR is (permuted) triangular — O(nnz); otherwise a
@@ -427,15 +407,15 @@ let spectral_radius_sparse ?struct_tol s =
    second iteration that must not find anything of larger modulus.
    Matrices that fail either check fall back to the full (cached)
    spectrum, so the estimate is never silently wrong. *)
-let spectral_radius_incremental ?struct_tol s =
-  match Eigen.structural_eigenvalues_sparse ?tol:struct_tol s with
+let spectral_radius_incremental s =
+  match Eigen.structural_eigenvalues_sparse s with
   | Some d ->
     Ffc_obs.Ctx.incr_named "jac.rho.structural";
     Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. d
   | None -> (
     let fallback () =
       Ffc_obs.Ctx.incr_named "jac.rho.fallback";
-      spectral_radius_sparse ?struct_tol s
+      spectral_radius_sparse s
     in
     match Eigen.power_iteration_sparse s with
     | None -> fallback ()

@@ -84,16 +84,16 @@ val update_flow :
     one lot.  Raises [Invalid_argument] when [prev] does not match the
     network's pattern. *)
 
-val eigenvalues : ?struct_tol:float -> Mat.t -> Complex.t array
+val eigenvalues : Mat.t -> Complex.t array
 (** {!Ffc_numerics.Eigen.eigenvalues}, memoized on the matrix content
     through the ambient result cache.  Composes with the cached DF: a
     warm run rebuilds neither the finite-difference columns nor the QR
     iteration. *)
 
-val eigenvalues_sorted : ?struct_tol:float -> Mat.t -> Complex.t array
+val eigenvalues_sorted : Mat.t -> Complex.t array
 (** {!Ffc_numerics.Eigen.eigenvalues_sorted}, memoized likewise. *)
 
-val eigenvalues_sparse : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
+val eigenvalues_sparse : Mat.Sparse.t -> Complex.t array
 (** {!Ffc_numerics.Eigen.eigenvalues_sparse}, memoized likewise (tier
     ["eigen.spectrum.sparse"]): the triangular fast path runs on the
     stored entries without densifying. *)
@@ -101,23 +101,18 @@ val eigenvalues_sparse : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
 val unilaterally_stable : ?tol:float -> Mat.t -> bool
 (** |DF_ii| < 1 − [tol] for every i (default [tol] 1e-9). *)
 
-val systemically_stable :
-  ?tol:float -> ?ignore_unit:int -> ?struct_tol:float -> Mat.t -> bool
+val systemically_stable : ?tol:float -> ?ignore_unit:int -> Mat.t -> bool
 (** Spectral radius below 1, optionally discounting [ignore_unit]
     eigenvalues of modulus ~1 for steady-state manifolds (aggregate
-    feedback has an (N−1)-dimensional manifold at a single gateway).
-    [struct_tol] reaches the structure detection — it used to be
-    dropped here. *)
+    feedback has an (N−1)-dimensional manifold at a single gateway). *)
 
-val spectral_radius : ?struct_tol:float -> Mat.t -> float
-(** Largest eigenvalue modulus over the cached spectrum.  [struct_tol]
-    is threaded through to {!eigenvalues} (it used to be silently
-    dropped). *)
+val spectral_radius : Mat.t -> float
+(** Largest eigenvalue modulus over the cached spectrum. *)
 
-val spectral_radius_sparse : ?struct_tol:float -> Mat.Sparse.t -> float
+val spectral_radius_sparse : Mat.Sparse.t -> float
 (** {!spectral_radius} over the cached sparse spectrum. *)
 
-val spectral_radius_incremental : ?struct_tol:float -> Mat.Sparse.t -> float
+val spectral_radius_incremental : Mat.Sparse.t -> float
 (** Cheap ρ(DF) after {!update_flow}: the structural diagonal when the
     CSR matrix is (permuted) triangular, else a power-iteration
     estimate cross-checked by a deflated second iteration; falls back

@@ -1,117 +1,5 @@
 open Ffc_numerics
 
-type occ = {
-  mutable level : int;
-  mutable window_start : float;
-  mutable last_change : float;
-  mutable integral : float;
-}
-
-type t = {
-  occs : (int * int, occ) Hashtbl.t;
-  delays : (int, Stats.running) Hashtbl.t;
-  delivered : (int, int ref) Hashtbl.t;
-  dropped : (int, int ref) Hashtbl.t;
-}
-
-let create () =
-  {
-    occs = Hashtbl.create 32;
-    delays = Hashtbl.create 8;
-    delivered = Hashtbl.create 8;
-    dropped = Hashtbl.create 8;
-  }
-
-let occ t key now =
-  match Hashtbl.find_opt t.occs key with
-  | Some o -> o
-  | None ->
-    let o = { level = 0; window_start = now; last_change = now; integral = 0. } in
-    Hashtbl.add t.occs key o;
-    o
-
-let advance o ~now =
-  if now < o.last_change then invalid_arg "Measure: time went backwards";
-  o.integral <- o.integral +. (float_of_int o.level *. (now -. o.last_change));
-  o.last_change <- now
-
-let incr t ~key ~now =
-  let o = occ t key now in
-  advance o ~now;
-  o.level <- o.level + 1
-
-let decr t ~key ~now =
-  let o = occ t key now in
-  advance o ~now;
-  if o.level <= 0 then invalid_arg "Measure.decr: occupancy would go negative";
-  o.level <- o.level - 1
-
-let occupancy t ~key =
-  match Hashtbl.find_opt t.occs key with Some o -> o.level | None -> 0
-
-let mean_occupancy t ~key ~now =
-  match Hashtbl.find_opt t.occs key with
-  | None -> 0.
-  | Some o ->
-    let span = now -. o.window_start in
-    if span <= 0. then 0.
-    else begin
-      let total = o.integral +. (float_of_int o.level *. (now -. o.last_change)) in
-      total /. span
-    end
-
-let reset t ~now =
-  Hashtbl.iter
-    (fun _ o ->
-      o.window_start <- now;
-      o.last_change <- now;
-      o.integral <- 0.)
-    t.occs;
-  Hashtbl.reset t.delays;
-  Hashtbl.reset t.delivered;
-  Hashtbl.reset t.dropped
-
-let delay_acc t conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> acc
-  | None ->
-    let acc = Stats.running_create () in
-    Hashtbl.add t.delays conn acc;
-    acc
-
-let record_delay t ~conn d = Stats.running_add (delay_acc t conn) d
-
-let delay_mean t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_mean acc
-  | None -> 0.
-
-let delay_ci95 t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_ci95_halfwidth acc
-  | None -> 0.
-
-let delay_count t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_count acc
-  | None -> 0
-
-let count_delivery t ~conn =
-  match Hashtbl.find_opt t.delivered conn with
-  | Some r -> r := !r + 1
-  | None -> Hashtbl.add t.delivered conn (ref 1)
-
-let deliveries t ~conn =
-  match Hashtbl.find_opt t.delivered conn with Some r -> !r | None -> 0
-
-let count_drop t ~conn =
-  match Hashtbl.find_opt t.dropped conn with
-  | Some r -> r := !r + 1
-  | None -> Hashtbl.add t.dropped conn (ref 1)
-
-let drops t ~conn =
-  match Hashtbl.find_opt t.dropped conn with Some r -> !r | None -> 0
-
 module Flat = struct
   type t = {
     offsets : int array;  (** conn -> first slot; length n_conns + 1. *)

@@ -1,55 +1,15 @@
 (** Measurement collection for simulation runs.
 
-    Tracks time-weighted per-key occupancy (the simulated counterpart of
+    Tracks time-weighted per-slot occupancy (the simulated counterpart of
     the model's mean queue lengths Q^a_i), end-to-end delay samples, and
     delivery counts.  [reset] discards history at the end of a warmup
     period while preserving instantaneous occupancy, so statistics cover
     only the measured window. *)
 
-type t
-
-val create : unit -> t
-
-val incr : t -> key:int * int -> now:float -> unit
-(** Occupancy of [key = (gateway, connection)] increased by one. *)
-
-val decr : t -> key:int * int -> now:float -> unit
-
-val occupancy : t -> key:int * int -> int
-(** Instantaneous occupancy (0 for unseen keys). *)
-
-val mean_occupancy : t -> key:int * int -> now:float -> float
-(** Time-average occupancy since creation or the last [reset]. *)
-
-val reset : t -> now:float -> unit
-(** Restarts every time average and delay/delivery statistic at [now],
-    keeping current occupancy levels. *)
-
-val record_delay : t -> conn:int -> float -> unit
-
-val delay_mean : t -> conn:int -> float
-(** 0 when no samples. *)
-
-val delay_ci95 : t -> conn:int -> float
-
-val delay_count : t -> conn:int -> int
-
-val count_delivery : t -> conn:int -> unit
-
-val deliveries : t -> conn:int -> int
-
-val count_drop : t -> conn:int -> unit
-(** A packet of the connection was dropped (finite-buffer gateways). *)
-
-val drops : t -> conn:int -> int
-(** Drops since creation or the last [reset]. *)
-
-(** Flat, array-indexed variant of the same collector, for
-    production-scale runs: per-(connection, hop) occupancy slots are
+(** The collector: per-(connection, hop) occupancy slots are
     contiguous arrays addressed by precomputed offsets — no hashing, no
-    key tuples, no allocation on the per-packet path.  Used by
-    {!Netsim} and the closed loop; the hashtable collector above stays
-    as the flexible/reference API. *)
+    key tuples, no allocation on the per-packet path.  {!Fabric} keeps
+    one for {!Netsim} and both closed loops. *)
 module Flat : sig
   type t
 

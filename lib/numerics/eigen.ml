@@ -309,19 +309,19 @@ let eigenvalues_dense m =
 (* Structure detection (Theorem 4 fast path)                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An ordering v of the indices such that m.(v_i).(v_j) is (within
-   [tol]) zero for all j > i — i.e. the matrix is lower triangular after
+(* An ordering v of the indices such that m.(v_i).(v_j) is exactly zero
+   for all j > i — i.e. the matrix is lower triangular after
    simultaneously permuting rows and columns by v.  Greedy topological
    sort of the off-diagonal dependency relation: repeatedly pick the
-   smallest remaining row whose above-[tol] off-diagonal entries all sit
-   in already-picked columns.  Each pick scans O(N), so detection —
+   smallest remaining row whose nonzero off-diagonal entries all sit in
+   already-picked columns.  Each pick scans O(N), so detection —
    success or failure — is O(N^2).  Covers lower triangular (identity
    order), upper triangular (reversal), and any simultaneous permutation
    of either, such as Fair Share Jacobians in rate order. *)
-let triangular_order ?(tol = 0.) m =
+let triangular_order m =
   if Mat.rows m <> Mat.cols m then invalid_arg "Eigen.triangular_order: not square";
   let n = Mat.rows m in
-  let nonzero i j = Float.abs (Mat.unsafe_get m i j) > tol in
+  let nonzero i j = Float.abs (Mat.unsafe_get m i j) > 0. in
   (* pending.(i): off-diagonal entries of row i in not-yet-picked columns. *)
   let pending = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -352,10 +352,10 @@ let triangular_order ?(tol = 0.) m =
    with Exit -> ());
   if !ok then Some order else None
 
-let structural_eigenvalues ?tol m =
+let structural_eigenvalues m =
   if Mat.rows m <> Mat.cols m then None
   else
-    match triangular_order ?tol m with
+    match triangular_order m with
     | None -> None
     | Some _ ->
       (* A simultaneous permutation is a similarity and preserves the
@@ -363,9 +363,9 @@ let structural_eigenvalues ?tol m =
          in any order. *)
       Some (Mat.diagonal m)
 
-let eigenvalues ?struct_tol m =
+let eigenvalues m =
   Ffc_obs.Span.with_span "eigen.spectrum" @@ fun () ->
-  match structural_eigenvalues ?tol:struct_tol m with
+  match structural_eigenvalues m with
   | Some d -> Array.map (fun re -> { Complex.re; im = 0. }) d
   | None -> eigenvalues_dense m
 
@@ -377,16 +377,16 @@ let sort_by_modulus ev =
     ev;
   ev
 
-let eigenvalues_sorted ?struct_tol m = sort_by_modulus (eigenvalues ?struct_tol m)
+let eigenvalues_sorted m = sort_by_modulus (eigenvalues m)
 
 let spectral_radius_of ev =
   Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. ev
 
-let spectral_radius ?struct_tol m = spectral_radius_of (eigenvalues ?struct_tol m)
+let spectral_radius m = spectral_radius_of (eigenvalues m)
 let spectral_radius_dense m = spectral_radius_of (eigenvalues_dense m)
 
-let is_linearly_stable ?(tol = 1e-9) ?(ignore_unit = 0) ?struct_tol m =
-  let ev = eigenvalues_sorted ?struct_tol m in
+let is_linearly_stable ?(tol = 1e-9) ?(ignore_unit = 0) m =
+  let ev = eigenvalues_sorted m in
   let n = Array.length ev in
   if ignore_unit >= n then true
   else Complex.norm ev.(ignore_unit) < 1. -. tol
@@ -434,17 +434,17 @@ let triangular_eigenvalues m =
    stored entries, so the graph work is O(nnz); the smallest-ready-row
    scan keeps the dense picker's O(N) per pick (trivial next to the QR
    iteration either path avoids). *)
-let triangular_order_sparse ?(tol = 0.) s =
+let triangular_order_sparse s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then
     invalid_arg "Eigen.triangular_order_sparse: not square";
   let n = Mat.Sparse.rows s in
   let pending = Array.make n 0 in
-  (* dependents.(j): rows whose off-diagonal entry in column j is above
-     [tol] — the rows to release when j is picked. *)
+  (* dependents.(j): rows with a nonzero off-diagonal entry in column j
+     — the rows to release when j is picked. *)
   let dependents = Array.make n [] in
   for i = 0 to n - 1 do
     Mat.Sparse.iter_row s i (fun j v ->
-        if j <> i && Float.abs v > tol then begin
+        if j <> i && Float.abs v > 0. then begin
           pending.(i) <- pending.(i) + 1;
           dependents.(j) <- i :: dependents.(j)
         end)
@@ -472,21 +472,20 @@ let triangular_order_sparse ?(tol = 0.) s =
    with Exit -> ());
   if !ok then Some order else None
 
-let structural_eigenvalues_sparse ?tol s =
+let structural_eigenvalues_sparse s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then None
   else
-    match triangular_order_sparse ?tol s with
+    match triangular_order_sparse s with
     | None -> None
     | Some _ -> Some (Mat.Sparse.diagonal s)
 
-let eigenvalues_sparse ?struct_tol s =
+let eigenvalues_sparse s =
   Ffc_obs.Span.with_span "eigen.spectrum.sparse" @@ fun () ->
-  match structural_eigenvalues_sparse ?tol:struct_tol s with
+  match structural_eigenvalues_sparse s with
   | Some d -> Array.map (fun re -> { Complex.re; im = 0. }) d
   | None -> eigenvalues_dense (Mat.Sparse.to_dense s)
 
-let spectral_radius_sparse ?struct_tol s =
-  spectral_radius_of (eigenvalues_sparse ?struct_tol s)
+let spectral_radius_sparse s = spectral_radius_of (eigenvalues_sparse s)
 
 let power_iteration_sparse ?(max_iter = 10_000) ?(tol = 1e-12) ?deflate s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then

@@ -14,11 +14,10 @@
     are its diagonal.  {!eigenvalues}, {!spectral_radius} and
     {!is_linearly_stable} therefore first look for triangular or
     permuted-triangular structure in O(N²) ({!triangular_order}) and
-    read the diagonal when they find it; [struct_tol] controls how small
-    an entry must be to count as structurally zero (default exactly 0 —
-    finite differencing of a Fair Share map produces exact zeros above
-    the diagonal, so the default is both safe and effective).  The
-    [_dense] entry points always run the QR path.
+    read the diagonal when they find it.  Only an exact 0 counts as a
+    structural zero: finite differencing of a Fair Share map produces
+    exact zeros above the diagonal, so exact detection is both safe and
+    effective.  The [_dense] entry points always run the QR path.
 
     All routines operate on copies and never mutate their input. *)
 
@@ -26,25 +25,24 @@ val hessenberg : Mat.t -> Mat.t
 (** [hessenberg m] is an upper-Hessenberg matrix similar to square [m]
     (entries below the first subdiagonal are exactly zero). *)
 
-val triangular_order : ?tol:float -> Mat.t -> int array option
+val triangular_order : Mat.t -> int array option
 (** [triangular_order m] is [Some v] when [m] is lower triangular after
     simultaneously permuting rows and columns by [v] — i.e.
-    [|m.(v_i).(v_j)| <= tol] for all [j > i] (default [tol = 0.], exact
-    zeros).  Covers plain lower triangular (identity order), upper
+    [m.(v_i).(v_j) = 0] for all [j > i].  Covers plain lower triangular (identity order), upper
     triangular (reversal) and any simultaneous permutation of either,
     such as Fair Share stability matrices in rate order (Theorem 4).
     O(N²) whether it succeeds or fails. *)
 
-val structural_eigenvalues : ?tol:float -> Mat.t -> Vec.t option
+val structural_eigenvalues : Mat.t -> Vec.t option
 (** The diagonal, when {!triangular_order} detects (permuted) triangular
     structure — the eigenvalues, exactly, since a simultaneous
     permutation is a similarity.  [None] for dense matrices (and
     non-square ones). *)
 
-val eigenvalues : ?struct_tol:float -> Mat.t -> Complex.t array
+val eigenvalues : Mat.t -> Complex.t array
 (** All eigenvalues of a square matrix, in no particular order:
-    the diagonal when (permuted-)triangular structure is detected at
-    [struct_tol], the QR path otherwise. Raises [Failure] if the QR
+    the diagonal when (permuted-)triangular structure is detected, the
+    QR path otherwise. Raises [Failure] if the QR
     iteration fails to converge (does not happen for the matrices in
     this repository) and [Invalid_argument] if the matrix is not
     square. *)
@@ -53,18 +51,17 @@ val eigenvalues_dense : Mat.t -> Complex.t array
 (** The QR path unconditionally — for cross-checking the fast path and
     for benchmarking. *)
 
-val eigenvalues_sorted : ?struct_tol:float -> Mat.t -> Complex.t array
+val eigenvalues_sorted : Mat.t -> Complex.t array
 (** Eigenvalues sorted by decreasing modulus (ties broken by real part). *)
 
-val spectral_radius : ?struct_tol:float -> Mat.t -> float
+val spectral_radius : Mat.t -> float
 (** Largest eigenvalue modulus — the quantity that decides linear
     stability of the iteration r' = F(r). *)
 
 val spectral_radius_dense : Mat.t -> float
 (** {!spectral_radius} via the QR path unconditionally. *)
 
-val is_linearly_stable :
-  ?tol:float -> ?ignore_unit:int -> ?struct_tol:float -> Mat.t -> bool
+val is_linearly_stable : ?tol:float -> ?ignore_unit:int -> Mat.t -> bool
 (** [is_linearly_stable df] holds when every eigenvalue of [df] has
     modulus < 1 − [tol] (default [tol = 1e-9]).  [ignore_unit] (default 0)
     discounts that many eigenvalues closest to modulus 1 — used for
@@ -92,19 +89,19 @@ val triangular_eigenvalues : Mat.t -> Vec.t option
     and the diagonal read costs O(N).  Only the dense-QR fallback pays
     for a [to_dense]. *)
 
-val triangular_order_sparse : ?tol:float -> Mat.Sparse.t -> int array option
+val triangular_order_sparse : Mat.Sparse.t -> int array option
 (** CSR counterpart of {!triangular_order}; identical result on
-    [Mat.Sparse.to_dense] of the input (stored entries with
-    [|v| <= tol] — default exactly 0 — count as structural zeros). *)
+    [Mat.Sparse.to_dense] of the input (stored exact zeros count as
+    structural zeros). *)
 
-val structural_eigenvalues_sparse : ?tol:float -> Mat.Sparse.t -> Vec.t option
+val structural_eigenvalues_sparse : Mat.Sparse.t -> Vec.t option
 (** The diagonal when {!triangular_order_sparse} succeeds. *)
 
-val eigenvalues_sparse : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
+val eigenvalues_sparse : Mat.Sparse.t -> Complex.t array
 (** Structure-first spectrum of a square CSR matrix: the diagonal on the
     triangular path, dense QR on [to_dense] otherwise. *)
 
-val spectral_radius_sparse : ?struct_tol:float -> Mat.Sparse.t -> float
+val spectral_radius_sparse : Mat.Sparse.t -> float
 
 val power_iteration_sparse :
   ?max_iter:int -> ?tol:float -> ?deflate:Vec.t -> Mat.Sparse.t ->

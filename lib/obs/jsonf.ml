@@ -1,7 +1,8 @@
-(* Shared JSON-fragment formatting: one float format and one string
-   escaper for every renderer in the repo (trace events, metric
-   snapshots, provenance manifests, CSV export), so numbers round-trip
-   identically everywhere. *)
+(* The repo's one JSON module: the float format and string escaper every
+   renderer shares (trace events, metric snapshots, provenance
+   manifests, CSV export), so numbers round-trip identically
+   everywhere; and one value type with a strict parser and a compact
+   printer, for every reader (replies, traces, BENCH.json, run stats). *)
 
 (* Round-trip float text: %.17g prints enough digits that reading the
    string back recovers the exact double. *)
@@ -31,101 +32,256 @@ let string s =
   add_escaped buf s;
   Buffer.contents buf
 
-let obj fields =
-  let buf = Buffer.create 192 in
+let add_obj buf add_value fields =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       add_escaped buf k;
       Buffer.add_char buf ':';
-      Buffer.add_string buf v)
+      add_value buf v)
     fields;
-  Buffer.add_char buf '}';
+  Buffer.add_char buf '}'
+
+let obj fields =
+  let buf = Buffer.create 192 in
+  add_obj buf Buffer.add_string fields;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Field scraping                                                      *)
+(* Values                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal extraction from the flat one-line JSON objects this repo
-   itself renders (service replies, trace events, BENCH.json rows) —
-   enough for the churn driver, the trace aggregator and the bench
-   comparator without a JSON parser dependency.  The first occurrence
-   of a key wins. *)
+type number = string
 
-(* Position just after ["key":] in [s], if the key occurs. *)
-let after_key s ~key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let n = String.length s and m = String.length pat in
-  let rec scan i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some (i + m)
-    else scan (i + 1)
+type t =
+  | Null
+  | Bool of bool
+  | Number of number
+  | String of string
+  | Array of t list
+  | Object of (string * t) list
+
+let float x = if Float.is_finite x then Number (float_rt x) else Null
+let int i = Number (string_of_int i)
+
+let rec add buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Number n -> Buffer.add_string buf n
+  | String s -> add_escaped buf s
+  | Array vs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        add buf v)
+      vs;
+    Buffer.add_char buf ']'
+  | Object fields -> add_obj buf add fields
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  add buf v;
+  Buffer.contents buf
+
+let member key = function Object fields -> List.assoc_opt key fields | _ -> None
+let get conv key v = Option.bind (member key v) conv
+let as_float = function Number n -> Some (float_of_string n) | _ -> None
+let as_int = function Number n -> int_of_string_opt n | _ -> None
+let as_bool = function Bool b -> Some b | _ -> None
+let as_string = function String s -> Some s | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Strict parser (RFC 8259)                                            *)
+(* ------------------------------------------------------------------ *)
+
+exception Syntax of int * string
+
+(* Containers nested deeper than this are refused rather than risking
+   the stack; nothing this repo writes goes past depth 4. *)
+let max_depth = 512
+
+let of_string s =
+  let len = String.length s in
+  let pos = ref 0 in
+  let fail why = raise (Syntax (!pos, why)) in
+  let peek () = if !pos < len then s.[!pos] else fail "unexpected end of input" in
+  let rec skip_ws () =
+    if !pos < len then
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
   in
-  scan 0
-
-(* Skip the spaces a pretty-printed file puts after the colon; our own
-   renderers emit none, so this is only for tolerance. *)
-let skip_ws s i =
-  let n = String.length s in
-  let j = ref i in
-  while !j < n && (s.[!j] = ' ' || s.[!j] = '\t') do
-    incr j
-  done;
-  !j
-
-let string_field s ~key =
-  match after_key s ~key with
-  | None -> None
-  | Some i ->
-    let i = skip_ws s i in
-    if i >= String.length s || s.[i] <> '"' then None
-    else
-      let buf = Buffer.create 16 in
-      let rec go j =
-        if j >= String.length s then None
-        else
-          match s.[j] with
-          | '"' -> Some (Buffer.contents buf)
-          | '\\' when j + 1 < String.length s ->
-            (* Our own renderer only emits the simple JSON escapes;
-               the scraper handles exactly those. *)
-            (match s.[j + 1] with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | c -> Buffer.add_char buf c);
-            go (j + 2)
-          | c ->
-            Buffer.add_char buf c;
-            go (j + 1)
-      in
-      go (i + 1)
-
-let number_field s ~key =
-  match after_key s ~key with
-  | None -> None
-  | Some i ->
-    let i = skip_ws s i in
-    let n = String.length s in
-    let stop = ref i in
-    while
-      !stop < n
-      && (match s.[!stop] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr stop
+  let expect c =
+    if peek () <> c then fail (Printf.sprintf "expected %C" c);
+    incr pos
+  in
+  let literal word v =
+    let n = String.length word in
+    if !pos + n <= len && String.sub s !pos n = word then begin
+      pos := !pos + n;
+      v
+    end
+    else fail "bad literal"
+  in
+  let digits () =
+    let start = !pos in
+    while !pos < len && s.[!pos] >= '0' && s.[!pos] <= '9' do
+      incr pos
     done;
-    if !stop = i then None else float_of_string_opt (String.sub s i (!stop - i))
-
-let bool_field s ~key =
-  match after_key s ~key with
-  | None -> None
-  | Some i ->
-    let i = skip_ws s i in
-    let n = String.length s in
-    if i + 4 <= n && String.sub s i 4 = "true" then Some true
-    else if i + 5 <= n && String.sub s i 5 = "false" then Some false
-    else None
+    if !pos = start then fail "expected a digit"
+  in
+  let number () =
+    let start = !pos in
+    if peek () = '-' then incr pos;
+    (match peek () with
+    | '0' -> incr pos
+    | '1' .. '9' -> digits ()
+    | _ -> fail "expected a digit");
+    if !pos < len && s.[!pos] = '.' then begin
+      incr pos;
+      digits ()
+    end;
+    if !pos < len && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
+      incr pos;
+      if !pos < len && (s.[!pos] = '+' || s.[!pos] = '-') then incr pos;
+      digits ()
+    end;
+    Number (String.sub s start (!pos - start))
+  in
+  let hex4 () =
+    if !pos + 4 > len then fail "short \\u escape";
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match s.[!pos] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v * 16) + d;
+      incr pos
+    done;
+    !v
+  in
+  (* Strings are byte strings: bytes >= 0x80 pass through unchecked (the
+     printer emits them raw), \u escapes decode to UTF-8. *)
+  let escape buf =
+    let c = peek () in
+    incr pos;
+    match c with
+    | '"' | '\\' | '/' -> Buffer.add_char buf c
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'u' ->
+      let u = hex4 () in
+      let code =
+        if u >= 0xD800 && u <= 0xDBFF then begin
+          if not (!pos + 2 <= len && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+            fail "unpaired surrogate";
+          pos := !pos + 2;
+          let lo = hex4 () in
+          if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
+          0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+        end
+        else if u >= 0xDC00 && u <= 0xDFFF then fail "unpaired surrogate"
+        else u
+      in
+      Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+    | _ ->
+      decr pos;
+      fail "bad escape"
+  in
+  let str () =
+    expect '"';
+    let start = !pos in
+    (* Fast path: no escapes, one [String.sub]. *)
+    while !pos < len && s.[!pos] <> '"' && s.[!pos] <> '\\' && s.[!pos] >= ' ' do
+      incr pos
+    done;
+    if !pos < len && s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - start - 1)
+    end
+    else begin
+      let buf = Buffer.create 32 in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec go () =
+        match peek () with
+        | '"' -> incr pos
+        | '\\' ->
+          incr pos;
+          escape buf;
+          go ()
+        | c when c < ' ' -> fail "raw control byte in string"
+        | c ->
+          incr pos;
+          Buffer.add_char buf c;
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
+  in
+  (* [items close item] parses "item, item, ... close" after the opening
+     bracket. *)
+  let items close item =
+    skip_ws ();
+    if peek () = close then begin
+      incr pos;
+      []
+    end
+    else
+      let rec go acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        match peek () with
+        | ',' ->
+          incr pos;
+          skip_ws ();
+          go acc
+        | c when c = close ->
+          incr pos;
+          List.rev acc
+        | _ -> fail (Printf.sprintf "expected ',' or %C" close)
+      in
+      go []
+  in
+  let rec value depth =
+    skip_ws ();
+    match peek () with
+    | '{' ->
+      if depth >= max_depth then fail "nesting too deep";
+      incr pos;
+      Object
+        (items '}' (fun () ->
+             let k = str () in
+             skip_ws ();
+             expect ':';
+             (k, value (depth + 1))))
+    | '[' ->
+      if depth >= max_depth then fail "nesting too deep";
+      incr pos;
+      Array (items ']' (fun () -> value (depth + 1)))
+    | '"' -> String (str ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> number ()
+    | _ -> fail "unexpected character"
+  in
+  match
+    let v = value 0 in
+    skip_ws ();
+    if !pos < len then fail "trailing data";
+    v
+  with
+  | v -> Ok v
+  | exception Syntax (at, why) -> Error (at, why)

@@ -1,6 +1,11 @@
-(** Shared JSON-fragment formatting used by every renderer (trace
-    events, metric snapshots, provenance manifests) and by the CSV
-    export, so numbers print identically everywhere. *)
+(** The repo's one JSON module.
+
+    The formatting primitives are shared by every renderer (trace
+    events, metric snapshots, provenance manifests, service replies)
+    and by the CSV export, so numbers print identically everywhere.
+    The value type {!t} with its strict parser {!of_string} is what
+    every reader uses: the churn driver's reply fields, the trace
+    report, [ffc bench diff], the cache's run stats. *)
 
 val float_rt : float -> string
 (** [%.17g]: enough digits that parsing the text recovers the exact
@@ -19,18 +24,51 @@ val add_escaped : Buffer.t -> string -> unit
 val obj : (string * string) list -> string
 (** A one-line object of already-rendered values, in field order. *)
 
-(** {2 Field scraping}
+(** {2 Values} *)
 
-    Minimal field extraction from the flat one-line JSON objects this
-    repo itself renders (service replies, trace events, BENCH.json
-    kernel rows) — enough for the churn driver, the trace aggregator
-    and the bench comparator without a JSON parser dependency.  [key]
-    must name a top-level or embedded field; the {e first} occurrence
-    wins. *)
+type number = private string
+(** The literal text of a JSON number, checked against the JSON number
+    grammar.  Numbers convert only on access ({!as_float}, {!as_int}),
+    so a parse stays cheap and a re-print is byte-exact. *)
 
-val after_key : string -> key:string -> int option
-(** Position just after [{"key":}] in the line, if the key occurs. *)
+type t =
+  | Null
+  | Bool of bool
+  | Number of number
+  | String of string  (** Raw bytes; need not be UTF-8. *)
+  | Array of t list
+  | Object of (string * t) list  (** Fields in document order. *)
 
-val string_field : string -> key:string -> string option
-val number_field : string -> key:string -> float option
-val bool_field : string -> key:string -> bool option
+val float : float -> t
+(** A number printed as {!float_rt}; non-finite floats become {!Null},
+    as {!float_json} prints them. *)
+
+val int : int -> t
+
+val to_string : t -> string
+(** Compact, one line, fields in order: the bytes {!obj}, {!string} and
+    {!float_json} would produce for the same value. *)
+
+val of_string : string -> (t, int * string) result
+(** Strict RFC 8259 parse of one value, surrounding whitespace allowed.
+    Trailing data, raw control bytes in strings, bad escapes (including
+    unpaired surrogates), bad literals, numbers outside the JSON grammar
+    and nesting deeper than 512 are refused with
+    [Error (byte_offset, reason)].  Bytes [>= 0x80] in strings are kept
+    as they are; [\u] escapes decode to UTF-8.  For every value [v],
+    [of_string (to_string v) = Ok v]. *)
+
+val member : string -> t -> t option
+(** The field's value in an object (first occurrence); [None] for a
+    missing key or a non-object. *)
+
+val get : (t -> 'a option) -> string -> t -> 'a option
+(** [get as_x key v] is {!member}, then the [as_x] conversion:
+    [get as_int "hits" v]. *)
+
+val as_float : t -> float option
+val as_int : t -> int option
+(** [None] unless the number's text is an integer literal. *)
+
+val as_bool : t -> bool option
+val as_string : t -> string option

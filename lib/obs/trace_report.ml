@@ -5,11 +5,11 @@
    the report can be cross-checked against the daemon's own `stats`
    counters.
 
-   Works line-by-line with the Jsonf field scrapers — every event this
-   repo emits is a flat one-line JSON object — so the aggregator has no
-   parser dependency and handles multi-gigabyte traces in constant
-   memory.  Wall totals are *inclusive*: a parent span's time contains
-   its children's (the spans nest, the table does not). *)
+   Works line by line — every event this repo emits is a one-line JSON
+   object, parsed with Jsonf.of_string — so it handles multi-gigabyte
+   traces in constant memory.  Wall totals are *inclusive*: a parent
+   span's time contains its children's (the spans nest, the table does
+   not). *)
 
 type phase = {
   ph_name : string;
@@ -43,35 +43,29 @@ let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 let add_line acc line =
-  if String.trim line = "" then ()
-  else
-    match Jsonf.string_field line ~key:"ev" with
+  if String.trim line <> "" then
+    let ev = Result.to_option (Jsonf.of_string line) in
+    let field conv key = Option.bind ev (Jsonf.get conv key) in
+    match field Jsonf.as_string "ev" with
     | None -> acc.other <- acc.other + 1
-    | Some ev ->
+    | Some kind ->
       acc.events <- acc.events + 1;
-      (match ev with
+      let count key = int_of_float (Option.value ~default:0. (field Jsonf.as_float key)) in
+      (match kind with
       | "span.start" -> acc.starts <- acc.starts + 1
       | "span.end" -> (
         acc.ends <- acc.ends + 1;
-        match Jsonf.string_field line ~key:"name" with
+        match field Jsonf.as_string "name" with
         | None -> ()
         | Some name ->
-          let wall =
-            int_of_float
-              (Option.value ~default:0. (Jsonf.number_field line ~key:"wall_ns"))
-          in
-          let alloc =
-            int_of_float
-              (Option.value ~default:0. (Jsonf.number_field line ~key:"alloc_w"))
-          in
           let c, w, a =
             Option.value ~default:(0, 0, 0) (Hashtbl.find_opt acc.phases name)
           in
-          Hashtbl.replace acc.phases name (c + 1, w + wall, a + alloc))
+          Hashtbl.replace acc.phases name
+            (c + 1, w + count "wall_ns", a + count "alloc_w"))
       | "svc.decision" ->
-        Option.iter (bump acc.tiers) (Jsonf.string_field line ~key:"tier");
-        Option.iter (bump acc.decisions)
-          (Jsonf.string_field line ~key:"decision")
+        Option.iter (bump acc.tiers) (field Jsonf.as_string "tier");
+        Option.iter (bump acc.decisions) (field Jsonf.as_string "decision")
       | _ -> ())
 
 let of_lines lines =
@@ -133,29 +127,23 @@ let render acc =
   Buffer.contents buf
 
 let render_json acc =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"phases\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"name\":%s,\"count\":%d,\"wall_ns\":%d,\"alloc_w\":%d}"
-        (Jsonf.string p.ph_name) p.ph_count p.ph_wall_ns p.ph_alloc_w)
-    (phases acc);
-  Buffer.add_string buf "],\"tiers\":{";
-  List.iteri
-    (fun i (t, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%s:%d" (Jsonf.string t) n)
-    (tiers acc);
-  Buffer.add_string buf "},\"decisions\":{";
-  List.iteri
-    (fun i (d, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "%s:%d" (Jsonf.string d) n)
-    (decisions acc);
-  Printf.bprintf buf "},\"spans\":%d,\"unmatched_starts\":%d,\"events\":%d}"
-    acc.ends
-    (Stdlib.max 0 (unmatched_starts acc))
-    acc.events;
-  Buffer.contents buf
+  let counts rows = Jsonf.Object (List.map (fun (k, n) -> (k, Jsonf.int n)) rows) in
+  let phase p =
+    Jsonf.Object
+      [
+        ("name", String p.ph_name);
+        ("count", Jsonf.int p.ph_count);
+        ("wall_ns", Jsonf.int p.ph_wall_ns);
+        ("alloc_w", Jsonf.int p.ph_alloc_w);
+      ]
+  in
+  Jsonf.to_string
+    (Object
+       [
+         ("phases", Array (List.map phase (phases acc)));
+         ("tiers", counts (tiers acc));
+         ("decisions", counts (decisions acc));
+         ("spans", Jsonf.int acc.ends);
+         ("unmatched_starts", Jsonf.int (Stdlib.max 0 (unmatched_starts acc)));
+         ("events", Jsonf.int acc.events);
+       ])

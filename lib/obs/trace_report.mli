@@ -1,7 +1,7 @@
 (** Aggregate a JSONL trace into a per-phase time/alloc breakdown.
 
-    Feeds on the repo's own one-line trace events via the {!Jsonf}
-    scrapers (no parser dependency, constant memory): every [span.end]
+    Parses the repo's own one-line trace events with
+    {!Jsonf.of_string}, one line at a time (constant memory): every [span.end]
     adds its [wall_ns]/[alloc_w] to its phase (span name), and every
     [svc.decision] is tallied by tier and by decision — the latter is
     what the acceptance check compares against the daemon's [stats]
@@ -25,7 +25,8 @@ val create : unit -> acc
 
 val add_line : acc -> string -> unit
 (** Feed one trace line.  Blank lines are skipped; lines without an
-    ["ev"] field count as non-event lines; event kinds the report does
+    top-level ["ev"] string (or that are not JSON) count as non-event
+    lines; event kinds the report does
     not aggregate still count toward {!events}. *)
 
 val of_lines : string list -> acc

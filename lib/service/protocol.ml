@@ -133,13 +133,14 @@ let verb = function
   | Shutdown -> "shutdown"
 
 (* ------------------------------------------------------------------ *)
-(* Response scraping                                                   *)
+(* Reply fields                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The scrapers moved down to Ffc_obs.Jsonf (the trace aggregator and
-   the bench comparator share them); these aliases keep the protocol
-   API stable for the churn driver and the tests. *)
+let reply_field conv line ~key =
+  match Ffc_obs.Jsonf.of_string line with
+  | Ok v -> Ffc_obs.Jsonf.get conv key v
+  | Error _ -> None
 
-let json_string_field = Ffc_obs.Jsonf.string_field
-let json_number_field = Ffc_obs.Jsonf.number_field
-let json_bool_field = Ffc_obs.Jsonf.bool_field
+let json_string_field line ~key = reply_field Ffc_obs.Jsonf.as_string line ~key
+let json_number_field line ~key = reply_field Ffc_obs.Jsonf.as_float line ~key
+let json_bool_field line ~key = reply_field Ffc_obs.Jsonf.as_bool line ~key

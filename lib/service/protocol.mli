@@ -63,14 +63,13 @@ val verb : request -> string
 (** The request's verb, the first word of its line (["add"], ["batch"],
     ["end"], ...). *)
 
-(** {2 Response scraping}
+(** {2 Reply fields}
 
-    Minimal field extraction from the service's own flat JSON responses
-    — enough for the churn driver and the CI smoke scripts to read
-    decisions without a JSON parser dependency.  [key] must name a
-    top-level or embedded field; the {e first} occurrence wins.
-    (Aliases of the {!Ffc_obs.Jsonf} scrapers, which the trace
-    aggregator and bench comparator share.) *)
+    One top-level field of a reply line, read with the strict
+    {!Ffc_obs.Jsonf.of_string} parser: [None] when the line is not a
+    JSON object, lacks [key], or holds a value of another type there.
+    Fields nested inside a value (a [query] reply's [verdict]) are not
+    top-level and read as [None]. *)
 
 val json_string_field : string -> key:string -> string option
 val json_number_field : string -> key:string -> float option

@@ -225,13 +225,13 @@ let test_no_buffer_limit_never_drops () =
   Alcotest.(check int) "infinite buffer never drops" 0 !drops
 
 let test_measure_drops () =
-  let m = Measure.create () in
-  Measure.count_drop m ~conn:2;
-  Measure.count_drop m ~conn:2;
-  Alcotest.(check int) "two drops" 2 (Measure.drops m ~conn:2);
-  Alcotest.(check int) "unseen conn" 0 (Measure.drops m ~conn:0);
-  Measure.reset m ~now:1.;
-  Alcotest.(check int) "drops cleared by reset" 0 (Measure.drops m ~conn:2)
+  let m = Measure.Flat.create ~paths:(Array.make 3 [| 0 |]) in
+  Measure.Flat.count_drop m ~conn:2;
+  Measure.Flat.count_drop m ~conn:2;
+  Alcotest.(check int) "two drops" 2 (Measure.Flat.drops m ~conn:2);
+  Alcotest.(check int) "conn without drops" 0 (Measure.Flat.drops m ~conn:0);
+  Measure.Flat.reset m ~now:1.;
+  Alcotest.(check int) "drops cleared by reset" 0 (Measure.Flat.drops m ~conn:2)
 
 let test_drop_tail_loop_controls_congestion () =
   let net = Topologies.single ~mu:1. ~n:2 () in

@@ -157,45 +157,58 @@ let test_sim_past_rejected () =
 (* Measure                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* One connection per path length given; [first_slot m c] is its first hop. *)
+let flat_measure hops = Measure.Flat.create ~paths:(Array.map (fun h -> Array.make h 0) hops)
+let first_slot m conn = Measure.Flat.slot m ~conn ~hop:0
+
 let test_measure_occupancy () =
-  let m = Measure.create () in
-  Measure.incr m ~key:(0, 0) ~now:0.;
-  Measure.incr m ~key:(0, 0) ~now:1.;
-  Measure.decr m ~key:(0, 0) ~now:3.;
+  let m = flat_measure [| 1 |] in
+  let s = first_slot m 0 in
+  Measure.Flat.incr m ~slot:s ~now:0.;
+  Measure.Flat.incr m ~slot:s ~now:1.;
+  Measure.Flat.decr m ~slot:s ~now:3.;
   (* Level 1 on [0,1), 2 on [1,3), 1 on [3,4): mean (1+4+1)/4 = 1.5. *)
-  check_float "time-weighted occupancy" 1.5 (Measure.mean_occupancy m ~key:(0, 0) ~now:4.);
-  Alcotest.(check int) "instantaneous" 1 (Measure.occupancy m ~key:(0, 0))
+  check_float "time-weighted occupancy" 1.5 (Measure.Flat.mean_occupancy m ~slot:s ~now:4.);
+  Alcotest.(check int) "instantaneous" 1 (Measure.Flat.occupancy m ~slot:s);
+  (* Slots are per (connection, hop), laid out connection by connection. *)
+  let m = flat_measure [| 2; 3 |] in
+  Alcotest.(check int) "slots" 5 (Measure.Flat.num_slots m);
+  Alcotest.(check int) "second conn, last hop" 4 (Measure.Flat.slot m ~conn:1 ~hop:2)
 
 let test_measure_reset () =
-  let m = Measure.create () in
-  Measure.incr m ~key:(0, 0) ~now:0.;
-  Measure.reset m ~now:10.;
+  let m = flat_measure [| 1 |] in
+  let s = first_slot m 0 in
+  Measure.Flat.incr m ~slot:s ~now:0.;
+  Measure.Flat.reset m ~now:10.;
   (* Level stays 1 across the reset; mean over the new window is 1. *)
-  check_float "post-reset mean" 1. (Measure.mean_occupancy m ~key:(0, 0) ~now:12.);
-  Measure.record_delay m ~conn:0 5.;
-  Measure.reset m ~now:20.;
-  Alcotest.(check int) "delays cleared" 0 (Measure.delay_count m ~conn:0)
+  Alcotest.(check int) "level kept" 1 (Measure.Flat.occupancy m ~slot:s);
+  check_float "post-reset mean" 1. (Measure.Flat.mean_occupancy m ~slot:s ~now:12.);
+  Measure.Flat.record_delay m ~conn:0 5.;
+  Measure.Flat.count_delivery m ~conn:0;
+  Measure.Flat.reset m ~now:20.;
+  Alcotest.(check int) "delays cleared" 0 (Measure.Flat.delay_count m ~conn:0);
+  Alcotest.(check int) "deliveries cleared" 0 (Measure.Flat.deliveries m ~conn:0)
 
 let test_measure_negative_occupancy () =
-  let m = Measure.create () in
+  let m = flat_measure [| 1 |] in
   Alcotest.check_raises "decr below zero"
-    (Invalid_argument "Measure.decr: occupancy would go negative") (fun () ->
-      Measure.decr m ~key:(0, 0) ~now:0.)
+    (Invalid_argument "Measure.Flat.decr: occupancy would go negative") (fun () ->
+      Measure.Flat.decr m ~slot:(first_slot m 0) ~now:0.)
 
 let test_measure_delays () =
-  let m = Measure.create () in
-  Measure.record_delay m ~conn:1 2.;
-  Measure.record_delay m ~conn:1 4.;
-  check_float "delay mean" 3. (Measure.delay_mean m ~conn:1);
-  Alcotest.(check int) "delay count" 2 (Measure.delay_count m ~conn:1);
-  check_float "unseen conn" 0. (Measure.delay_mean m ~conn:9)
+  let m = flat_measure [| 1; 1 |] in
+  Measure.Flat.record_delay m ~conn:1 2.;
+  Measure.Flat.record_delay m ~conn:1 4.;
+  check_float "delay mean" 3. (Measure.Flat.delay_mean m ~conn:1);
+  Alcotest.(check int) "delay count" 2 (Measure.Flat.delay_count m ~conn:1);
+  check_float "conn without samples" 0. (Measure.Flat.delay_mean m ~conn:0)
 
 let test_measure_deliveries () =
-  let m = Measure.create () in
-  Measure.count_delivery m ~conn:0;
-  Measure.count_delivery m ~conn:0;
-  Alcotest.(check int) "two deliveries" 2 (Measure.deliveries m ~conn:0);
-  Alcotest.(check int) "unseen conn" 0 (Measure.deliveries m ~conn:3)
+  let m = flat_measure [| 1; 1 |] in
+  Measure.Flat.count_delivery m ~conn:0;
+  Measure.Flat.count_delivery m ~conn:0;
+  Alcotest.(check int) "two deliveries" 2 (Measure.Flat.deliveries m ~conn:0);
+  Alcotest.(check int) "conn without deliveries" 0 (Measure.Flat.deliveries m ~conn:1)
 
 (* ------------------------------------------------------------------ *)
 (* Source                                                              *)

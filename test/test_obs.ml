@@ -1,148 +1,6 @@
 open Ffc_obs
 open Test_util
 
-(* ------------------------------------------------------------------ *)
-(* A minimal validating JSON parser — enough to check that every line  *)
-(* the trace layer emits is well-formed and to pull out fields.        *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d in %s" msg !pos s)) in
-  let skip_ws () =
-    while
-      !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > len then fail "short \\u escape";
-          let hex = String.sub s !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          (* Test-only: BMP code points render as '?' outside ASCII. *)
-          Buffer.add_char buf (if code < 128 then Char.chr code else '?');
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < len && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); Jobj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((key, v) :: acc)
-          | Some '}' -> advance (); List.rev ((key, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); Jlist [])
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); items (v :: acc)
-          | Some ']' -> advance (); List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Jlist (items [])
-      end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-      if !pos + 4 <= len && String.sub s !pos 4 = "true" then (pos := !pos + 4; Jbool true)
-      else fail "bad literal"
-    | Some 'f' ->
-      if !pos + 5 <= len && String.sub s !pos 5 = "false" then (pos := !pos + 5; Jbool false)
-      else fail "bad literal"
-    | Some 'n' ->
-      if !pos + 4 <= len && String.sub s !pos 4 = "null" then (pos := !pos + 4; Jnull)
-      else fail "bad literal"
-    | _ -> Jnum (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
-
-let obj_field line name =
-  match parse_json line with
-  | Jobj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let lines_of s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
 
 (* ------------------------------------------------------------------ *)
@@ -233,8 +91,8 @@ let test_snapshot_reset_render () =
     (let t = Metrics.render_text snap in
      List.for_all (fun (n, _) -> contains t n) snap);
   (* The JSON render must itself be well-formed. *)
-  (match parse_json (Metrics.render_json snap) with
-  | Jlist items -> Alcotest.(check int) "one object per instrument" 3 (List.length items)
+  (match json (Metrics.render_json snap) with
+  | Jsonf.Array items -> Alcotest.(check int) "one object per instrument" 3 (List.length items)
   | _ -> Alcotest.fail "render_json is not an array");
   Metrics.reset m;
   Alcotest.(check int) "reset counter" 0 (Metrics.Counter.value (Metrics.counter m "z"));
@@ -312,8 +170,8 @@ let test_prometheus_and_json_line_render () =
   let line = Metrics.render_json_line snap in
   check_false "render_json_line has no newline"
     (String.contains line '\n');
-  match (parse_json line, parse_json (Metrics.render_json snap)) with
-  | Jlist a, Jlist b ->
+  match (json line, json (Metrics.render_json snap)) with
+  | Jsonf.Array a, Jsonf.Array b ->
     Alcotest.(check int) "same instrument count" (List.length b)
       (List.length a);
     check_true "same JSON value as render_json" (a = b)
@@ -346,25 +204,164 @@ let test_event_jsonl_well_formed () =
   List.iter
     (fun (kind, line) ->
       check_true (kind ^ " is one line") (not (String.contains line '\n'));
-      match obj_field line "ev" with
-      | Some (Jstr k) -> Alcotest.(check string) (kind ^ " discriminator") kind k
+      match json_str line "ev" with
+      | Some k -> Alcotest.(check string) (kind ^ " discriminator") kind k
       | _ -> Alcotest.failf "%s: no ev field in %s" kind line)
     events;
   (* Spot-check payload fields and float round-tripping. *)
-  (match obj_field (Event.ctrl_step ~step:3 ~residual:0.1 ~rates:[| 0.30000000000000004 |]) "rates" with
-  | Some (Jlist [ Jnum x ]) -> check_float ~tol:0. "rate round-trips" 0.30000000000000004 x
+  (match json_field (Event.ctrl_step ~step:3 ~residual:0.1 ~rates:[| 0.30000000000000004 |]) "rates" with
+  | Some (Jsonf.Array [ x ]) ->
+    Alcotest.(check (option (float 0.))) "rate round-trips" (Some 0.30000000000000004)
+      (Jsonf.as_float x)
   | _ -> Alcotest.fail "ctrl.step rates field");
   (* Non-finite floats must degrade to null, not break the line. *)
-  match obj_field (Event.ctrl_step ~step:0 ~residual:Float.nan ~rates:[||]) "residual" with
-  | Some Jnull -> ()
+  match json_field (Event.ctrl_step ~step:0 ~residual:Float.nan ~rates:[||]) "residual" with
+  | Some Jsonf.Null -> ()
   | _ -> Alcotest.fail "nan residual must render as null"
 
 let test_jsonf_escaping () =
   let nasty = "a\"b\\c\nd\te\r\x01f" in
-  match parse_json (Jsonf.string nasty) with
-  | Jstr s ->
+  match json (Jsonf.string nasty) with
+  | Jsonf.String s ->
     Alcotest.(check string) "escape round-trip" "a\"b\\c\nd\te\r\x01f" s
   | _ -> Alcotest.fail "Jsonf.string must produce a JSON string"
+
+(* ------------------------------------------------------------------ *)
+(* Jsonf: the strict parser and the printer                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_jsonf_strict () =
+  let refused input offset =
+    match Jsonf.of_string input with
+    | Ok _ -> Alcotest.failf "%S accepted" input
+    | Error (at, _) -> Alcotest.(check int) (Printf.sprintf "%S: error offset" input) offset at
+  in
+  List.iter
+    (fun (input, offset) -> refused input offset)
+    [
+      ("", 0);
+      ("  ", 2);
+      ("{} x", 3);
+      ("[1,]", 3);
+      ({|{"a":1,}|}, 7);
+      ({|{"a" 1}|}, 5);
+      ("[", 1);
+      ("\"a\001b\"", 2);
+      ({|"\x"|}, 2);
+      ({|"\u12"|}, 3);
+      ({|"\u12g4"|}, 5);
+      ({|"\ud800"|}, 7);
+      ({|"\udc00x"|}, 7);
+      ("tru", 0);
+      ("nul", 0);
+      ("True", 0);
+      ("'a'", 0);
+      ("01", 1);
+      ("1.", 2);
+      (".5", 0);
+      ("+1", 0);
+      ("-", 1);
+      ("1e", 2);
+      ("1e+", 3);
+      ("NaN", 0);
+      ("-Infinity", 1);
+      (String.make 600 '[', 512);
+    ];
+  let doc = " {\"a\": [1, -2.5E-3, true, null, \"\\u00e9\\ud83d\\ude00\\/\"], \"b\": {}} \n" in
+  match Jsonf.of_string doc with
+  | Error (at, why) -> Alcotest.failf "valid document refused at %d: %s" at why
+  | Ok v ->
+    Alcotest.(check string) "compact re-print keeps number text"
+      "{\"a\":[1,-2.5E-3,true,null,\"\xc3\xa9\xf0\x9f\x98\x80/\"],\"b\":{}}"
+      (Jsonf.to_string v);
+    (match Jsonf.member "a" v with
+    | Some (Jsonf.Array [ n; m; _; _; Jsonf.String s ]) ->
+      Alcotest.(check (option int)) "integer literal" (Some 1) (Jsonf.as_int n);
+      Alcotest.(check (option (float 0.))) "exponent literal" (Some (-2.5e-3)) (Jsonf.as_float m);
+      Alcotest.(check (option int)) "not an integer literal" None (Jsonf.as_int m);
+      Alcotest.(check string) "escapes decode to UTF-8" "\xc3\xa9\xf0\x9f\x98\x80/" s
+    | _ -> Alcotest.fail "array member")
+
+(* Values with every string hazard (quotes, backslashes, control bytes,
+   raw bytes >= 0x80) and floats drawn by bit pattern, so -0.0,
+   subnormals and the extremes all occur; non-finite floats are null. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:
+        (frequency
+           [
+             (4, printable);
+             (1, char_range '\000' '\031');
+             (1, char_range '\128' '\255');
+             (1, oneofl [ '"'; '\\'; '/' ]);
+           ])
+      (0 -- 10)
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Jsonf.Null);
+        (1, map (fun b -> Jsonf.Bool b) bool);
+        (3, map (fun bits -> Jsonf.float (Int64.float_of_bits bits)) int64);
+        ( 1,
+          map Jsonf.float
+            (oneofl [ -0.; 5e-324; 2.2250738585072009e-308; Float.max_float; 1e21; 0.1 ]) );
+        (1, map Jsonf.int int);
+        (3, map (fun s -> Jsonf.String s) str);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Jsonf.Array l) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Jsonf.Object l) (list_size (0 -- 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_jsonf_round_trip =
+  prop "jsonf: of_string (to_string v) = Ok v" ~count:500 gen_json (fun v ->
+      Jsonf.of_string (Jsonf.to_string v) = Ok v)
+
+let prop_jsonf_prefixes_refused =
+  let container =
+    QCheck2.Gen.(
+      map2
+        (fun v wrap -> if wrap then Jsonf.Array [ v ] else Jsonf.Object [ ("k", v) ])
+        gen_json bool)
+  in
+  prop "jsonf: every proper prefix of a container is refused" ~count:200 container
+    (fun v ->
+      let s = Jsonf.to_string v in
+      List.for_all
+        (fun k ->
+          match Jsonf.of_string (String.sub s 0 k) with
+          | Ok _ -> false
+          | Error (at, _) -> at <= k)
+        (List.init (String.length s) Fun.id))
+
+let test_jsonf_prints_todays_bytes () =
+  Alcotest.(check string) "value printer = fragment printers"
+    (Jsonf.obj
+       [
+         ("a", Jsonf.float_json 0.1);
+         ("b", Jsonf.string "x\n\001");
+         ("c", Jsonf.float_json Float.nan);
+         ("d", "[1,true,null]");
+       ])
+    (Jsonf.to_string
+       (Jsonf.Object
+          [
+            ("a", Jsonf.float 0.1);
+            ("b", Jsonf.String "x\n\001");
+            ("c", Jsonf.float Float.nan);
+            ("d", Jsonf.Array [ Jsonf.int 1; Jsonf.Bool true; Jsonf.Null ]);
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* Sinks and capture                                                   *)
@@ -478,8 +475,8 @@ let test_pool_sched_events_gated () =
   check_false "no pool events without sched"
     (List.exists
        (fun l ->
-         match obj_field l "ev" with
-         | Some (Jstr ("pool.map" | "pool.chunk")) -> true
+         match json_str l "ev" with
+         | Some ("pool.map" | "pool.chunk") -> true
          | _ -> false)
        (lines_of (Sink.contents sink)))
 
@@ -495,7 +492,7 @@ let run_traced ?(stride = 1) f =
 
 let event_kinds lines =
   List.filter_map
-    (fun l -> match obj_field l "ev" with Some (Jstr k) -> Some k | _ -> None)
+    (fun l -> json_str l "ev")
     lines
 
 let test_controller_trace () =
@@ -511,7 +508,7 @@ let test_controller_trace () =
   in
   check_true "run converged"
     (match outcome with Controller.Converged _ -> true | _ -> false);
-  List.iter (fun l -> ignore (parse_json l)) lines;
+  List.iter (fun l -> ignore (json l)) lines;
   let kinds = event_kinds lines in
   check_true "ctrl.step events present" (List.mem "ctrl.step" kinds);
   check_true "ctrl.outcome present" (List.mem "ctrl.outcome" kinds);
@@ -533,7 +530,7 @@ let test_supervisor_fault_trace () =
   let v, lines, m =
     run_traced (fun () -> Supervisor.run ~plan c ~net ~r0:(Array.make 3 0.02))
   in
-  List.iter (fun l -> ignore (parse_json l)) lines;
+  List.iter (fun l -> ignore (json l)) lines;
   let kinds = event_kinds lines in
   check_true "sup.attempt present" (List.mem "sup.attempt" kinds);
   check_true "sup.verdict present" (List.mem "sup.verdict" kinds);
@@ -544,7 +541,7 @@ let test_supervisor_fault_trace () =
   (* wall-clock must never enter the trace *)
   check_false "no wall_seconds in events"
     (List.exists
-       (fun l -> match obj_field l "wall_seconds" with Some _ -> true | None -> false)
+       (fun l -> json_field l "wall_seconds" <> None)
        lines)
 
 let test_netsim_trace () =
@@ -555,7 +552,7 @@ let test_netsim_trace () =
         Ffc_desim.Netsim.run ~net ~rates:[| 0.3; 0.3 |]
           ~discipline:Ffc_desim.Netsim.Fs_priority ~seed:3 ~horizon:500. ())
   in
-  List.iter (fun l -> ignore (parse_json l)) lines;
+  List.iter (fun l -> ignore (json l)) lines;
   let kinds = event_kinds lines in
   check_true "desim.delivery present" (List.mem "desim.delivery" kinds);
   Alcotest.(check int) "one summary per connection" 2
@@ -604,19 +601,19 @@ let test_provenance_manifest () =
       ~seeds:[ ("fault", 7) ] ~faults:[ "lossy(p=0.2)@all" ] ~jobs:4 ~stride:10 ()
   in
   let doc = Provenance.to_json prov ~metrics:(Some (Metrics.snapshot m)) in
-  match parse_json doc with
-  | Jobj fields ->
+  match json doc with
+  | Jsonf.Object fields ->
     (match List.assoc_opt "command" fields with
-    | Some (Jstr "exp") -> ()
+    | Some (Jsonf.String "exp") -> ()
     | _ -> Alcotest.fail "command field");
-    (match List.assoc_opt "jobs" fields with
-    | Some (Jnum 4.) -> ()
+    (match Jsonf.get Jsonf.as_int "jobs" (Jsonf.Object fields) with
+    | Some 4 -> ()
     | _ -> Alcotest.fail "jobs field");
     (match List.assoc_opt "seeds" fields with
-    | Some (Jobj [ ("fault", Jnum 7.) ]) -> ()
+    | Some (Jsonf.Object [ ("fault", n) ]) when Jsonf.as_int n = Some 7 -> ()
     | _ -> Alcotest.fail "seeds field");
     (match List.assoc_opt "metrics" fields with
-    | Some (Jlist (_ :: _)) -> ()
+    | Some (Jsonf.Array (_ :: _)) -> ()
     | _ -> Alcotest.fail "metrics field")
   | _ -> Alcotest.fail "manifest is not a JSON object"
 
@@ -632,6 +629,10 @@ let suites =
           test_prometheus_and_json_line_render;
         case "events: every kind is valid JSONL" test_event_jsonl_well_formed;
         case "events: JSON string escaping" test_jsonf_escaping;
+        case "jsonf: strict parse refusals and offsets" test_jsonf_strict;
+        case "jsonf: value printer keeps the fragment bytes" test_jsonf_prints_todays_bytes;
+        prop_jsonf_round_trip;
+        prop_jsonf_prefixes_refused;
         case "sink: buffer and capture" test_sink_buffer_and_capture;
         case "sink: file round-trip" test_sink_file_roundtrip;
         case "ctx: ambient install and hot taps" test_ctx_ambient_and_counters;

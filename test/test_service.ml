@@ -84,6 +84,46 @@ let test_protocol_roundtrip () =
   check_true "stats takes nothing" (rejects "stats now");
   check_true "non-finite time" (rejects "query t=nan")
 
+(* Requests as [ffc drive] and hand-typed sessions produce them: names
+   are single words without '=', numbers any finite double (rendered
+   with round-trip precision). *)
+let gen_request =
+  let open QCheck2.Gen in
+  let name = string_size ~gen:(oneofl [ 'a'; 'z'; '0'; '9'; '_'; '.'; '-'; ':' ]) (1 -- 8) in
+  let num = map Int64.float_of_bits int64 >|= fun x -> if Float.is_finite x then Some x else None in
+  oneof
+    [
+      map3 (fun conn time size -> Protocol.Add { conn; time; size }) (option name) num num;
+      return Protocol.Batch_begin;
+      return Protocol.Batch_end;
+      map2 (fun conn time -> Protocol.Remove { conn; time }) name num;
+      map (fun time -> Protocol.Query { time }) num;
+      map (fun time -> Protocol.Stats { time }) num;
+      map (fun prom -> Protocol.Metrics { prom }) bool;
+      return Protocol.Snapshot;
+      return Protocol.Shutdown;
+    ]
+
+let prop_protocol_render_parse =
+  prop "parse (render r) = Ok r" ~count:500 gen_request (fun r ->
+      Protocol.parse (Protocol.render r) = Ok r)
+
+(* Random bytes, and lines that start with a real verb followed by
+   random words: [parse] answers Ok or Error and never raises. *)
+let prop_protocol_parse_total =
+  let open QCheck2.Gen in
+  let line =
+    oneof
+      [
+        string;
+        map2 (fun verb rest -> verb ^ " " ^ String.concat " " rest)
+          (oneofl [ "add"; "remove"; "query"; "stats"; "metrics"; "batch"; "end"; "snapshot" ])
+          (list_size (0 -- 4) (string_size ~gen:char (0 -- 6)));
+      ]
+  in
+  prop "parse never raises" ~count:1000 line (fun l ->
+      match Protocol.parse l with Ok _ | Error _ -> true)
+
 (* The positional-name fallback: [add] may lead with a bare connection
    name, and an error in the key=value tail must be reported as the
    tail's error — not as the name failing to parse as a field. *)
@@ -739,6 +779,52 @@ let test_golden_reply_logs () =
   Alcotest.(check string) "calm: every request at the full tier"
     "60a0016d3f11dbe419a914a8feffb727" (digest calm)
 
+(* The reply-field wrappers read one top-level field through the strict
+   parser.  Before they did, they were first-occurrence substring
+   scrapers; these digests were taken with those scrapers over the
+   three golden streams, so every field the churn driver, perfbench and
+   these tests read keeps its value.  [min_ratio] and [attempts] also
+   occur inside a [query] reply's nested verdict, which a top-level read
+   does not see; they are compared on the other replies only (the churn
+   driver reads [min_ratio] on add replies only). *)
+let wrapper_view line =
+  let s k = Option.value ~default:"-" (Protocol.json_string_field line ~key:k) in
+  let n k =
+    match Protocol.json_number_field line ~key:k with
+    | None -> "-"
+    | Some v -> Ffc_obs.Jsonf.float_rt v
+  in
+  let b k =
+    match Protocol.json_bool_field line ~key:k with
+    | None -> "-"
+    | Some v -> string_of_bool v
+  in
+  let op = s "op" in
+  String.concat " "
+    ([ b "ok"; op; s "tier"; s "decision"; s "conn"; s "reason"; n "seq"; n "rate";
+       n "rho"; b "rho_fresh"; n "active"; n "backlog"; n "vclock"; n "batch";
+       n "adds"; n "admits"; n "rejects"; n "sheds"; n "errors" ]
+    @ if op = "query" then [] else [ n "min_ratio"; n "attempts" ])
+
+let test_reply_fields_match_scrapers () =
+  let digest log =
+    String.split_on_char '\n' log
+    |> List.filter (fun l -> l <> "")
+    |> List.map wrapper_view |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  let _, _, _, storm = run_storm () in
+  Alcotest.(check string) "flap storm" "94eef4db21a2dd6c4fa807448924734a" (digest storm);
+  let _, _, surge =
+    drive (Server.create (golden_engine ())) ~clients:2 ~batch:8 ~query_every:50
+      ~seed:1 ~rate:100. ~arrivals:300 ~size_dist:(Churn.Exp 0.25)
+  in
+  Alcotest.(check string) "surge" "cb78b12660f194b8574ac378899dec2e" (digest surge);
+  let _, _, calm =
+    drive (Server.create (golden_engine ())) ~seed:1 ~rate:2. ~arrivals:100
+      ~size_dist:(Churn.Exp 1.)
+  in
+  Alcotest.(check string) "calm" "5e4be9200fa0f3f0352c4efc4938ed10" (digest calm)
+
 (* ------------------------------------------------------------------ *)
 (* Batched admission                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1137,6 +1223,8 @@ let suites =
       [
         case "request round-trip and rejects" test_protocol_roundtrip;
         case "positional-name edge cases" test_protocol_positional_edge_cases;
+        prop_protocol_render_parse;
+        prop_protocol_parse_total;
         case "size distribution parse" test_size_dist_parse;
       ] );
     ( "service.admission",
@@ -1173,6 +1261,7 @@ let suites =
         case "decision log interleaving-invariant" test_interleaving_invariant_decision_log;
         case "churn storm byte-identical" test_churn_storm_deterministic;
         case "golden reply logs" test_golden_reply_logs;
+        case "reply-field wrappers match the scrapers" test_reply_fields_match_scrapers;
       ] );
     ( "service.snapshot",
       [

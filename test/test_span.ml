@@ -25,7 +25,7 @@ let lines s =
 let span_lines s =
   List.filter
     (fun l ->
-      match Jsonf.string_field l ~key:"ev" with
+      match json_str l "ev" with
       | Some ("span.start" | "span.end") -> true
       | _ -> false)
     (lines s)
@@ -94,12 +94,12 @@ let test_timing_channel () =
   in
   (match
      List.filter
-       (fun l -> Jsonf.string_field l ~key:"ev" = Some "span.end")
+       (fun l -> json_str l "ev" = Some "span.end")
        (lines trace)
    with
   | [ e ] ->
     let field k =
-      match Jsonf.number_field e ~key:k with
+      match json_num e k with
       | Some v -> v
       | None -> Alcotest.failf "no %s in %s" k e
     in
@@ -250,9 +250,7 @@ let test_cache_cold_warm_spans_identical () =
                (fun i _ -> i < List.length cold_prefix)
                (span_lines warm));
           let identity l =
-            ( Jsonf.string_field l ~key:"ev",
-              Jsonf.string_field l ~key:"id",
-              Jsonf.string_field l ~key:"name" )
+            (json_str l "ev", json_str l "id", json_str l "name")
           in
           Alcotest.(check int)
             "same span count modulo cache.put"
@@ -314,7 +312,7 @@ let restart_resumes_identical_spans ~tier config =
         "post-restart replies byte-identical" !replies_a !replies_b;
       Alcotest.(check (option string))
         "the first resumed request is served at the expected tier" (Some tier)
-        (Jsonf.string_field (List.hd !replies_b) ~key:"tier");
+        (json_str (List.hd !replies_b) "tier");
       check_true "suffix traced svc.request spans"
         (contains trace_a {|"name":"svc.request"|});
       Alcotest.(check string) "post-restart span stream byte-identical" trace_a

@@ -3,8 +3,8 @@
    route-incidence pattern and its probe groups, grouped finite
    differences against the dense path (bit for bit, at every jobs
    count), incremental churn updates against from-scratch rebuilds, the
-   finite-difference domain-guard regression, struct_tol threading, and
-   warm-cache replay of the new tiers. *)
+   finite-difference domain-guard regression, and warm-cache replay of
+   the new tiers. *)
 
 open Ffc_numerics
 open Ffc_topology
@@ -404,29 +404,6 @@ let test_map_rows_matches_step () =
     partial
 
 (* ------------------------------------------------------------------ *)
-(* struct_tol threading (the second bugfix)                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_struct_tol_threading () =
-  (* Triangular only up to 1e-5 noise: with struct_tol the diagonal read
-     must fire and return exactly 0.5; the dropped-argument bug silently
-     fell back to exact-zero detection (QR, != 0.5 in the last bits). *)
-  let m = Mat.of_arrays [| [| 0.5; 1e-5 |]; [| 1e-5; 0.25 |] |] in
-  check_true "spectral_radius threads struct_tol"
-    (Jacobian.spectral_radius ~struct_tol:1e-4 m = 0.5);
-  check_true "systemically_stable threads struct_tol"
-    (Jacobian.systemically_stable ~struct_tol:1e-4 m);
-  let s = Mat.Sparse.of_dense m in
-  check_true "sparse radius threads struct_tol"
-    (Jacobian.spectral_radius_sparse ~struct_tol:1e-4 s = 0.5);
-  check_true "incremental radius threads struct_tol"
-    (Jacobian.spectral_radius_incremental ~struct_tol:1e-4 s = 0.5);
-  (* Default behavior (exact zeros) is unchanged: still correct, just
-     through the iterative path. *)
-  check_float ~tol:1e-8 "default stays on the exact-zero path" 0.5
-    (Jacobian.spectral_radius m)
-
-(* ------------------------------------------------------------------ *)
 (* Sparse eigensolvers                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -556,7 +533,6 @@ let suites =
         case "update_flow == rebuild under churn" test_update_flow_random_churn;
         case "update_fair == fair_masked under churn" test_update_fair_random_churn;
         case "map_rows matches step" test_map_rows_matches_step;
-        case "struct_tol threading (bugfix)" test_struct_tol_threading;
         case "warm-cache replay of new tiers" test_cache_replay_new_tiers;
       ] );
   ]

@@ -38,3 +38,15 @@ let bits_digest ?(ints = []) floats =
   List.iter (fun x -> Printf.bprintf b "%Lx," (Int64.bits_of_float x)) floats;
   List.iter (fun n -> Printf.bprintf b "%d;" n) ints;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* One line of JSON through the repo's strict parser; anything that is
+   not valid JSON fails the test. *)
+let json line =
+  match Ffc_obs.Jsonf.of_string line with
+  | Ok v -> v
+  | Error (at, why) -> Alcotest.failf "not JSON at byte %d (%s): %s" at why line
+
+(* A top-level field of a JSON line, and its string or number value. *)
+let json_field line key = Ffc_obs.Jsonf.member key (json line)
+let json_str line key = Ffc_obs.Jsonf.get Ffc_obs.Jsonf.as_string key (json line)
+let json_num line key = Ffc_obs.Jsonf.get Ffc_obs.Jsonf.as_float key (json line)
