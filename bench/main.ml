@@ -520,7 +520,7 @@ let cache_rows ~jobs ~uncached:(uncached, t_un) =
    of the contract: the CSR build must match the dense build bit for
    bit, and the incremental update after a one-flow change must match a
    from-scratch rebuild. *)
-let sparse_rows_one ~lots ~hops ~iters =
+let sparse_rows_one ~lots ~hops ~iters ~update_iters =
   let net = Topologies.multi_parking_lot ~lots ~hops () in
   let n = Network.num_connections net in
   let pattern = Sparsity.of_network net in
@@ -548,7 +548,7 @@ let sparse_rows_one ~lots ~hops ~iters =
   let rebuild () = Jacobian.of_controller_sparse c ~net ~at:at' in
   let update () = Jacobian.update_flow c ~net ~prev:sp_df ~prev_at:at ~at:at' in
   let update_identical = Mat.Sparse.equal (update ()) (rebuild ()) in
-  let timed op =
+  let timed ?(iters = iters) op =
     ignore (op ());
     time_loop ~iters op
   in
@@ -557,7 +557,7 @@ let sparse_rows_one ~lots ~hops ~iters =
     timed (fun () -> Jacobian.spectral_radius_sparse (Jacobian.numeric_sparse f ~pattern ~at))
   in
   let rebuild_ns = timed rebuild in
-  let update_ns = timed update in
+  let update_ns = timed ~iters:update_iters update in
   let at_n what = Printf.sprintf "jacobian %s (N=%d)" what n in
   [
     row (at_n "dense + rho") dense_ns;
@@ -577,9 +577,11 @@ let sparse_rows_one ~lots ~hops ~iters =
 let sparse_rows () =
   List.concat
     [
-      sparse_rows_one ~lots:16 ~hops:3 ~iters:30;
-      sparse_rows_one ~lots:32 ~hops:3 ~iters:10;
-      sparse_rows_one ~lots:128 ~hops:3 ~iters:3;
+      sparse_rows_one ~lots:16 ~hops:3 ~iters:30 ~update_iters:30;
+      sparse_rows_one ~lots:32 ~hops:3 ~iters:10 ~update_iters:10;
+      (* One update_flow call at N=512 takes ~0.1-0.5 ms: 500 calls keep
+         that row's loop above 50 ms, so its time is stable run to run. *)
+      sparse_rows_one ~lots:128 ~hops:3 ~iters:3 ~update_iters:500;
     ]
 
 (* Gateway admission: serial adds vs one batched bracket, over an

@@ -42,38 +42,29 @@ let qdisc_of = function
   | Fs_priority -> Qdisc.Preemptive_priority
   | Fair_queueing -> Qdisc.Fair_queueing
 
+(* Flows per simulation block, the locality unit.  A block's servers,
+   sources, packets and calendar stay cache-resident while it runs; the
+   value comes from a measured sweep (docs/DESIM.md §4). *)
+let block_flows = 32
+
 type result = {
   net : Network.t;
   horizon : float;
   window : float;
   paths : int array array;  (** Global gateway paths per connection. *)
-  conn_shard : int array;
+  conn_block : int array;
   conn_local : int array;
-  flats : Measure.Flat.t array;  (** Per shard, locally indexed. *)
+  flats : Measure.Flat.t array;  (** Per block, locally indexed. *)
   total_events : int;
   n_components : int;
 }
 
-(* Everything a shard worker needs, fully precomputed on the calling
-   domain so workers share only read-only state (each RNG stream is
-   touched by exactly one shard). *)
-type shard_plan = {
-  sp_conns : int array;  (** Global connection ids, canonical order. *)
-  sp_gws : int array;  (** Global gateway ids, canonical order. *)
-  sp_paths : int array array;  (** Per local conn, local gateway path. *)
-  sp_rates : float array;  (** Per local conn. *)
-  sp_comp : int array;  (** Per local conn, local component ordinal. *)
-  sp_n_comps : int;
-  sp_tables : (int * float) array array array;  (** Per local conn, per hop. *)
-  sp_events_per_time : float;
-}
-
-type shard_out = {
-  so_flat : Measure.Flat.t;
-  so_events : int;
-  so_injections : int;
-  so_hist : Ffc_obs.Metrics.Histogram.Local.t option;
-      (* per-shard delay tally; flushed into "desim.delay" at the join *)
+type block_out = {
+  bo_flat : Measure.Flat.t;
+  bo_events : int;
+  bo_injections : int;
+  bo_hist : Ffc_obs.Metrics.Histogram.Local.t option;
+      (* per-block delay tally; flushed into "desim.delay" at the join *)
 }
 
 let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
@@ -128,103 +119,91 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
   let comp_of_conn =
     Array.init n_conns (fun i -> comp_of_gw.(paths.(i).(0)))
   in
-  (* Component weights (expected events per unit time) drive both the
-     contiguous shard partition and the wheel tick choice. *)
-  let comp_weight = Array.make n_comps 0. in
-  Array.iteri
-    (fun i path ->
-      let c = comp_of_conn.(i) in
-      comp_weight.(c) <-
-        comp_weight.(c) +. (rates.(i) *. float_of_int ((2 * Array.length path) + 2)))
-    paths;
-  let total_weight = Array.fold_left ( +. ) 0. comp_weight in
-  let shards = min shards n_comps |> max 1 in
-  (* Contiguous partition balanced by cumulative weight: component [c]
-     goes to the group its weight-prefix ratio lands in — monotone in
-     [c], hence contiguous; deterministic for a given topology. *)
-  let shard_of_comp = Array.make n_comps 0 in
-  let cum = ref 0. in
-  for c = 0 to n_comps - 1 do
-    shard_of_comp.(c) <-
-      (if total_weight <= 0. then c * shards / max 1 n_comps
-       else min (shards - 1) (int_of_float (!cum /. total_weight *. float_of_int shards)));
-    cum := !cum +. comp_weight.(c)
+  (* Canonical order is ascending component id, then ascending global
+     id within the component.  [conn_order] lists every connection in
+     that order, component [c]'s at indices [conn_start.(c)] to
+     [conn_start.(c + 1) - 1]; likewise [gw_order] for gateways. *)
+  let by_component n comp_of =
+    let start = Array.make (n_comps + 1) 0 in
+    for x = 0 to n - 1 do
+      start.(comp_of.(x) + 1) <- start.(comp_of.(x) + 1) + 1
+    done;
+    for c = 0 to n_comps - 1 do
+      start.(c + 1) <- start.(c + 1) + start.(c)
+    done;
+    let fill = Array.sub start 0 n_comps in
+    let order = Array.make n 0 in
+    for x = 0 to n - 1 do
+      let c = comp_of.(x) in
+      order.(fill.(c)) <- x;
+      fill.(c) <- fill.(c) + 1
+    done;
+    (order, start)
+  in
+  let conn_order, conn_start = by_component n_conns comp_of_conn in
+  let gw_order, gw_start = by_component n_gws comp_of_gw in
+  (* Blocks: consecutive components of at most [block_flows] flows
+     together (a larger component alone) — fixed by the topology, so no
+     statistic, trace or tally depends on the shard count. *)
+  let block_comp =
+    let cuts = ref [ 0 ] and fill = ref 0 in
+    for c = 0 to n_comps - 1 do
+      let flows = conn_start.(c + 1) - conn_start.(c) in
+      if !fill > 0 && !fill + flows > block_flows then begin
+        cuts := c :: !cuts;
+        fill := 0
+      end;
+      fill := !fill + flows
+    done;
+    Array.of_list (List.rev (n_comps :: !cuts))
+  in
+  let n_blocks = Array.length block_comp - 1 in
+  (* Local indices: a connection's (and a gateway's) position within its
+     block, in canonical order.  Block weights (expected events per unit
+     time) drive both each block's wheel tick and the shard partition. *)
+  let conn_block = Array.make n_conns 0 in
+  let conn_local = Array.make n_conns 0 in
+  let gw_local = Array.make n_gws 0 in
+  let block_weight = Array.make n_blocks 0. in
+  for b = 0 to n_blocks - 1 do
+    let c0 = block_comp.(b) and c1 = block_comp.(b + 1) in
+    for k = conn_start.(c0) to conn_start.(c1) - 1 do
+      let i = conn_order.(k) in
+      conn_block.(i) <- b;
+      conn_local.(i) <- k - conn_start.(c0);
+      block_weight.(b) <-
+        block_weight.(b) +. (rates.(i) *. float_of_int ((2 * Array.length paths.(i)) + 2))
+    done;
+    for k = gw_start.(c0) to gw_start.(c1) - 1 do
+      gw_local.(gw_order.(k)) <- k - gw_start.(c0)
+    done
+  done;
+  (* A shard, the parallel unit, is a contiguous run of blocks balanced
+     by cumulative weight: block [b] goes to the shard its weight-prefix
+     ratio lands in — monotone in [b], hence contiguous.  Shard [s] runs
+     blocks [shard_block.(s)] to [shard_block.(s + 1) - 1]. *)
+  let shards = min shards n_blocks |> max 1 in
+  let total_weight = Array.fold_left ( +. ) 0. block_weight in
+  let shard_block = Array.make (shards + 1) n_blocks in
+  let next = ref 0 and cum = ref 0. in
+  for b = 0 to n_blocks - 1 do
+    let s =
+      if total_weight <= 0. then b * shards / n_blocks
+      else min (shards - 1) (int_of_float (!cum /. total_weight *. float_of_int shards))
+    in
+    while !next <= s do
+      shard_block.(!next) <- b;
+      incr next
+    done;
+    cum := !cum +. block_weight.(b)
   done;
   (* Per-entity SplitMix64 streams, pre-split in fixed global order so a
-     component's draws never depend on sharding (the E23 per-task-stream
-     pattern). *)
+     component's draws never depend on blocking or sharding (the E23
+     per-task-stream pattern). *)
   let root_rng = Rng.create seed in
   let server_rngs = Array.init n_gws (fun _ -> Rng.split root_rng) in
   let class_rngs = Array.init n_gws (fun _ -> Rng.split root_rng) in
   let source_rngs = Array.init n_conns (fun _ -> Rng.split root_rng) in
-  (* Global FS thinning tables, one per (connection, hop). *)
-  let fs_tables =
-    if discipline <> Fs_priority then [||]
-    else
-      Array.init n_conns (fun i ->
-          Array.map
-            (fun a ->
-              fs_class_table
-                ~local_rates:(Network.rates_at_gateway net ~rates a)
-                ~rate:rates.(i))
-            paths.(i))
-  in
-  (* Shard plans: canonical order everywhere is ascending component id,
-     then ascending global id within the component. *)
-  let comp_conns = Array.make n_comps [] in
-  for i = n_conns - 1 downto 0 do
-    comp_conns.(comp_of_conn.(i)) <- i :: comp_conns.(comp_of_conn.(i))
-  done;
-  let comp_gws = Array.make n_comps [] in
-  for a = n_gws - 1 downto 0 do
-    comp_gws.(comp_of_gw.(a)) <- a :: comp_gws.(comp_of_gw.(a))
-  done;
-  let conn_shard = Array.make n_conns 0 in
-  let conn_local = Array.make n_conns 0 in
-  let gw_local = Array.make n_gws 0 in
-  let plans =
-    Array.init shards (fun s ->
-        let comps = ref [] in
-        for c = n_comps - 1 downto 0 do
-          if shard_of_comp.(c) = s then comps := c :: !comps
-        done;
-        let comps = !comps in
-        let conns =
-          List.concat_map (fun c -> comp_conns.(c)) comps |> Array.of_list
-        in
-        let gws = List.concat_map (fun c -> comp_gws.(c)) comps |> Array.of_list in
-        Array.iteri (fun a_l a -> gw_local.(a) <- a_l) gws;
-        Array.iteri
-          (fun i_l i ->
-            conn_shard.(i) <- s;
-            conn_local.(i) <- i_l)
-          conns;
-        let comp_ord = ref (-1) and last_comp = ref (-1) in
-        let sp_comp =
-          Array.map
-            (fun i ->
-              let c = comp_of_conn.(i) in
-              if c <> !last_comp then begin
-                last_comp := c;
-                incr comp_ord
-              end;
-              !comp_ord)
-            conns
-        in
-        {
-          sp_conns = conns;
-          sp_gws = gws;
-          sp_paths = Array.map (fun i -> Array.map (fun a -> gw_local.(a)) paths.(i)) conns;
-          sp_rates = Array.map (fun i -> rates.(i)) conns;
-          sp_comp;
-          sp_n_comps = List.length comps;
-          sp_tables =
-            (if discipline = Fs_priority then Array.map (fun i -> fs_tables.(i)) conns
-             else Array.make (Array.length conns) [||]);
-          sp_events_per_time =
-            List.fold_left (fun acc c -> acc +. comp_weight.(c)) 0. comps;
-        })
-  in
   let delay_hist =
     match Ffc_obs.Ctx.ambient () with
     | Some c ->
@@ -232,19 +211,27 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
     | None -> None
   in
   let qdisc = qdisc_of discipline in
-  let run_shard (p : shard_plan) =
-    let sim = Sim.create ~events_per_time:p.sp_events_per_time () in
-    let pool = Packet.Pool.create ~initial:1024 () in
+  (* One block, alone from 0 through the warm-up to the horizon, on its
+     own calendar, packet pool and tallies.  Its local plan is built
+     here, on the worker, right before it runs. *)
+  let run_block b =
+    let c0 = block_comp.(b) and c1 = block_comp.(b + 1) in
+    let slice order start = Array.sub order start.(c0) (start.(c1) - start.(c0)) in
+    let conns = slice conn_order conn_start and gws = slice gw_order gw_start in
+    let l_paths = Array.map (fun i -> Array.map (fun a -> gw_local.(a)) paths.(i)) conns in
+    let l_rates = Array.map (fun i -> rates.(i)) conns in
+    let sim = Sim.create ~events_per_time:block_weight.(b) () in
+    let pool = Packet.Pool.create ~initial:(max 1 (Array.length conns)) () in
     let trc = Ffc_obs.Ctx.tracing () in
-    (* Per-shard local tally (Histogram.Local): zero-sync observes in
-       the event loop, one bulk flush into the shared histogram at
-       the main-domain merge. *)
+    (* Per-block local tally (Histogram.Local): zero-sync observes in
+       the event loop, one bulk flush into the shared histogram at the
+       main-domain merge, in block order. *)
     let local_delays = Option.map Ffc_obs.Metrics.Histogram.Local.create delay_hist in
     (* Per-component delivery trace buffers — flushed in component
        order at the end so the trace stream is independent of how
-       components were grouped into shards. *)
-    let trace_buf = Array.make p.sp_n_comps [] in
-    let trace_ord = Array.make p.sp_n_comps 0 in
+       components were grouped. *)
+    let trace_buf = Array.make (c1 - c0) [] in
+    let trace_ord = Array.make (c1 - c0) 0 in
     let on_deliver i_l delay =
       (match local_delays with
       | Some l -> Ffc_obs.Metrics.Histogram.Local.observe l delay
@@ -252,84 +239,101 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
       match trc with
       | Some c ->
         (* Stride sampling on the component's own delivery ordinal —
-           deterministic and sharding-independent. *)
-        let comp = p.sp_comp.(i_l) in
+           deterministic and independent of the grouping. *)
+        let i = conns.(i_l) in
+        let comp = comp_of_conn.(i) - c0 in
         trace_ord.(comp) <- trace_ord.(comp) + 1;
         if Ffc_obs.Ctx.sample c trace_ord.(comp) then
           trace_buf.(comp) <-
-            Ffc_obs.Event.desim_delivery ~time:(Sim.now sim) ~conn:p.sp_conns.(i_l) ~delay
+            Ffc_obs.Event.desim_delivery ~time:(Sim.now sim) ~conn:i ~delay
             :: trace_buf.(comp)
       | None -> ()
     in
-    let klass i_l hop =
-      let a = p.sp_gws.(p.sp_paths.(i_l).(hop)) in
-      draw_fs_class p.sp_tables.(i_l).(hop) class_rngs.(a) ~rate:p.sp_rates.(i_l)
+    let klass =
+      if discipline <> Fs_priority then None
+      else begin
+        (* Fair Share thinning tables, one per (connection, hop). *)
+        let gw_rates = Array.map (fun a -> Network.rates_at_gateway net ~rates a) gws in
+        let tables =
+          Array.mapi
+            (fun i_l path ->
+              Array.map
+                (fun a_l -> fs_class_table ~local_rates:gw_rates.(a_l) ~rate:l_rates.(i_l))
+                path)
+            l_paths
+        in
+        Some
+          (fun i_l hop ->
+            let a = gws.(l_paths.(i_l).(hop)) in
+            draw_fs_class tables.(i_l).(hop) class_rngs.(a) ~rate:l_rates.(i_l))
+      end
     in
     let fabric =
-      Fabric.create ~sim ~pool ~paths:p.sp_paths
-        ~gateways:(Array.map (fun a -> (Network.gateway net a, server_rngs.(a))) p.sp_gws)
-        ~qdisc ?buffer_limit
-        ?klass:(if discipline = Fs_priority then Some klass else None)
-        ~on_deliver ()
+      Fabric.create ~sim ~pool ~paths:l_paths
+        ~gateways:(Array.map (fun a -> (Network.gateway net a, server_rngs.(a))) gws)
+        ~qdisc ?buffer_limit ?klass ~on_deliver ()
     in
     let emit pkt = Fabric.inject fabric pkt 0 in
     Array.iteri
       (fun i_l i ->
         Source.start
-          (Source.create ~sim ~rng:source_rngs.(i) ~pool ~conn:i_l ~rate:p.sp_rates.(i_l)
+          (Source.create ~sim ~rng:source_rngs.(i) ~pool ~conn:i_l ~rate:l_rates.(i_l)
              ~emit ()))
-      p.sp_conns;
+      conns;
     Sim.run ~until:warmup sim;
     Measure.Flat.reset (Fabric.flat fabric) ~now:warmup;
     Sim.run ~until:horizon sim;
     (match trc with
     | Some c ->
-      for comp = 0 to p.sp_n_comps - 1 do
-        List.iter (Ffc_obs.Ctx.emit c) (List.rev trace_buf.(comp))
-      done
+      Array.iter (fun buf -> List.iter (Ffc_obs.Ctx.emit c) (List.rev buf)) trace_buf
     | None -> ());
     {
-      so_flat = Fabric.flat fabric;
-      so_events = Sim.events sim;
-      so_injections = Fabric.injections fabric;
-      so_hist = local_delays;
+      bo_flat = Fabric.flat fabric;
+      bo_events = Sim.events sim;
+      bo_injections = Fabric.injections fabric;
+      bo_hist = local_delays;
     }
   in
-  (* The per-shard span is sched-gated like the pool.* events: shard
-     membership depends on --shards, so it sits outside the trace
-     byte-identity contract. *)
-  let simulate (p : shard_plan) =
+  (* A shard — the parallel unit — runs its blocks one after another.
+     Its span is sched-gated like the pool.* events: shard membership
+     depends on --shards, so it sits outside the trace byte-identity
+     contract. *)
+  let simulate s =
+    let b0 = shard_block.(s) and b1 = shard_block.(s + 1) in
+    let run () = Array.init (b1 - b0) (fun k -> run_block (b0 + k)) in
     match Ffc_obs.Ctx.tracing () with
     | Some c when Ffc_obs.Ctx.sched c ->
-      Ffc_obs.Span.with_span
-        ~attrs:[ ("conns", string_of_int (Array.length p.sp_conns)) ]
-        "desim.shard"
-        (fun () -> run_shard p)
-    | _ -> run_shard p
+      let conns = conn_start.(block_comp.(b1)) - conn_start.(block_comp.(b0)) in
+      Ffc_obs.Span.with_span ~attrs:[ ("conns", string_of_int conns) ] "desim.shard" run
+    | _ -> run ()
   in
   let jobs = Pool.effective_jobs ?jobs () |> min shards in
-  let outs = Pool.parallel_map ~jobs simulate plans in
-  let total_events = Array.fold_left (fun acc o -> acc + o.so_events) 0 outs in
-  let flats = Array.map (fun o -> o.so_flat) outs in
+  let outs =
+    Pool.parallel_map ~jobs simulate (Array.init shards Fun.id)
+    |> Array.to_list |> Array.concat
+  in
+  let total_events = Array.fold_left (fun acc o -> acc + o.bo_events) 0 outs in
+  let flats = Array.map (fun o -> o.bo_flat) outs in
   (* Deterministic merge of the observability tallies (main domain). *)
   (match Ffc_obs.Ctx.ambient () with
   | Some c ->
     let m = Ffc_obs.Ctx.metrics c in
     let add name v = Ffc_obs.Metrics.Counter.add (Ffc_obs.Metrics.counter m name) v in
-    add "desim.injections" (Array.fold_left (fun acc o -> acc + o.so_injections) 0 outs);
+    add "desim.injections" (Array.fold_left (fun acc o -> acc + o.bo_injections) 0 outs);
     add "desim.events" total_events;
     let delivered = ref 0 and dropped = ref 0 in
     for i = 0 to n_conns - 1 do
-      let f = flats.(conn_shard.(i)) in
+      let f = flats.(conn_block.(i)) in
       delivered := !delivered + Measure.Flat.deliveries f ~conn:conn_local.(i);
       dropped := !dropped + Measure.Flat.drops f ~conn:conn_local.(i)
     done;
     add "desim.deliveries" !delivered;
     add "desim.drops" !dropped;
-    (* Flush the per-shard tallies in shard order (workers are joined;
-       the parent histogram takes one RMW per occupied bucket). *)
+    (* Flush the per-block tallies in block order (workers are joined;
+       the parent histogram takes one RMW per occupied bucket), so the
+       float sum is the same at any shard count. *)
     Array.iter
-      (fun o -> Option.iter Ffc_obs.Metrics.Histogram.Local.flush o.so_hist)
+      (fun o -> Option.iter Ffc_obs.Metrics.Histogram.Local.flush o.bo_hist)
       outs
   | None -> ());
   (match Ffc_obs.Ctx.tracing () with
@@ -337,7 +341,7 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
     let window = horizon -. warmup in
     for i = 0 to n_conns - 1 do
       let deliveries =
-        Measure.Flat.deliveries flats.(conn_shard.(i)) ~conn:conn_local.(i)
+        Measure.Flat.deliveries flats.(conn_block.(i)) ~conn:conn_local.(i)
       in
       Ffc_obs.Ctx.emit c
         (Ffc_obs.Event.desim_summary ~conn:i ~deliveries
@@ -349,7 +353,7 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit
     horizon;
     window = horizon -. warmup;
     paths;
-    conn_shard;
+    conn_block;
     conn_local;
     flats;
     total_events;
@@ -366,7 +370,7 @@ let mean_queue r ~gw ~conn =
   let hop = hop_of r ~gw ~conn in
   if hop < 0 then 0.
   else begin
-    let f = r.flats.(r.conn_shard.(conn)) in
+    let f = r.flats.(r.conn_block.(conn)) in
     Measure.Flat.mean_occupancy f
       ~slot:(Measure.Flat.slot f ~conn:r.conn_local.(conn) ~hop)
       ~now:r.horizon
@@ -379,16 +383,16 @@ let total_mean_queue r ~gw =
     (Network.connections_at_gateway r.net gw)
 
 let delay_mean r ~conn =
-  Measure.Flat.delay_mean r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.Flat.delay_mean r.flats.(r.conn_block.(conn)) ~conn:r.conn_local.(conn)
 
 let delay_ci95 r ~conn =
-  Measure.Flat.delay_ci95 r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.Flat.delay_ci95 r.flats.(r.conn_block.(conn)) ~conn:r.conn_local.(conn)
 
 let deliveries r ~conn =
-  Measure.Flat.deliveries r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.Flat.deliveries r.flats.(r.conn_block.(conn)) ~conn:r.conn_local.(conn)
 
 let drops r ~conn =
-  Measure.Flat.drops r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.Flat.drops r.flats.(r.conn_block.(conn)) ~conn:r.conn_local.(conn)
 
 let throughput r ~conn = float_of_int (deliveries r ~conn) /. r.window
 

@@ -11,15 +11,22 @@
     pool, coded events and a timing-wheel calendar — to reach 10⁵–10⁶
     concurrent connections (E27).
 
-    {b Sharding.}  The network is decomposed into connected components
-    (gateway domains no connection crosses between); [shards] groups
-    consecutive components and simulates the groups on
-    {!Ffc_numerics.Pool} domains.  Every entity (server, class drawer,
-    source) owns a SplitMix64 stream pre-split from the seed in fixed
-    global order, so a component's sample path — and therefore every
-    reported statistic — is bit-identical whatever the shard count or
-    [jobs]; trace events are emitted grouped by component in canonical
-    component order, which makes traced runs byte-identical too.
+    {b Blocks and shards.}  The network is decomposed into connected
+    components (gateway domains no connection crosses between).
+    Consecutive components are grouped into {e blocks} of about 32 flows
+    (a larger component is a block of its own); the topology alone fixes
+    the blocks.  Each block runs alone from time 0 through the warm-up
+    to the horizon on its own calendar, packet pool and tallies, so its
+    working set stays in cache.  [shards] cuts the blocks into
+    contiguous, weight-balanced runs simulated on
+    {!Ffc_numerics.Pool} domains, each running its blocks one after
+    another.  Every entity (server, class drawer, source) owns a
+    SplitMix64 stream pre-split from the seed in fixed global order, so
+    a component's sample path — and therefore every reported statistic
+    and the [desim.delay] histogram — is bit-identical whatever the
+    shard count or [jobs]; trace events are emitted grouped by component
+    in canonical component order, which makes traced runs byte-identical
+    too.
 
     The Fair Share discipline is realized exactly as §2.2 defines it:
     each packet is independently thinned into a priority level with
@@ -64,9 +71,9 @@ val run :
 (** Simulates with per-connection Poisson rates [rates]. Statistics cover
     [(warmup, horizon)]; [warmup] defaults to 10% of the horizon.
 
-    [shards] (default 1; clamped to the component count) splits
-    independent components over up to [jobs] domains — results and
-    traces are byte-identical at any [shards]/[jobs].
+    [shards] (default 1; clamped to the block count) splits the
+    blocks over up to [jobs] domains — results, traces and tallies are
+    byte-identical at any [shards]/[jobs].
     [buffer_limit] caps each gateway's system occupancy, arrivals
     beyond it are dropped at the door (counted in {!drops}).
 

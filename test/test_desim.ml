@@ -603,48 +603,98 @@ let shard_rates net =
   Array.init (Network.num_connections net) (fun i ->
       0.15 +. (0.03 *. float_of_int (i mod 5)))
 
-let test_shard_invariance () =
-  let net = shard_net () in
-  let rates = shard_rates net in
-  let run ~shards ~jobs =
-    fingerprint net
-      (Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:91 ~shards ~jobs
-         ~horizon:2_000. ())
+(* 150 four-flow parking lots around one 100-hop parking lot: many
+   components per simulation block, one component larger than a block,
+   and connection ids out of canonical component order (the long lot's
+   flows come first, its gateways sit in the middle). *)
+let block_net () =
+  let small = 150 and hops = 3 and long_hops = 100 in
+  let half = small / 2 in
+  let gw name mu latency = { Network.gw_name = name; mu; latency } in
+  let conn conn_name path = { Network.conn_name; path } in
+  let lot_base l = if l < half then l * hops else (l * hops) + long_hops in
+  let long_base = half * hops in
+  let lot_gws l = List.init hops (fun k -> gw (Printf.sprintf "lot%d.gw%d" l k) 1. 0.05) in
+  let gateways =
+    List.concat
+      [
+        List.concat_map lot_gws (List.init half Fun.id);
+        List.init long_hops (fun k -> gw (Printf.sprintf "long.gw%d" k) 1.2 0.02);
+        List.concat_map lot_gws (List.init (small - half) (fun l -> half + l));
+      ]
   in
-  let base = run ~shards:1 ~jobs:1 in
-  check_true "baseline delivers" (List.exists (fun x -> x > 0.) (fst base));
+  let long_lot =
+    conn "long.long" (List.init long_hops (fun k -> long_base + k))
+    :: List.init long_hops (fun k -> conn (Printf.sprintf "long.cross%d" k) [ long_base + k ])
+  in
+  let lots =
+    List.concat_map
+      (fun l ->
+        conn (Printf.sprintf "lot%d.long" l) (List.init hops (fun k -> lot_base l + k))
+        :: List.init hops (fun k ->
+               conn (Printf.sprintf "lot%d.cross%d" l k) [ lot_base l + k ]))
+      (List.init small Fun.id)
+  in
+  Network.create ~gateways:(Array.of_list gateways)
+    ~connections:(Array.of_list (long_lot @ lots))
+
+let overload_rates net =
+  Array.init (Network.num_connections net) (fun i -> if i mod 3 = 0 then 1.4 else 0.2)
+
+(* Each (shards, jobs) pair must reproduce the 1-shard run bit for bit;
+   on [block_net] the last pairs ask for more shards than there are
+   blocks (and components). *)
+let shard_inputs () =
+  [
+    (shard_net (), 2_000., [ (2, 1); (3, 2); (6, 4); (17, 4) ]);
+    (block_net (), 150., [ (3, 2); (7, 2); (40, 2); (200, 2) ]);
+  ]
+
+let test_shard_invariance () =
   List.iter
-    (fun (shards, jobs) ->
-      check_true
-        (Printf.sprintf "shards=%d jobs=%d bitwise-identical" shards jobs)
-        (run ~shards ~jobs = base))
-    [ (2, 1); (3, 2); (6, 4); (17, 4) ]
+    (fun (net, horizon, pairs) ->
+      let rates = shard_rates net in
+      let run ~shards ~jobs =
+        fingerprint net
+          (Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:91 ~shards ~jobs
+             ~horizon ())
+      in
+      let base = run ~shards:1 ~jobs:1 in
+      check_true "baseline delivers" (List.exists (fun x -> x > 0.) (fst base));
+      List.iter
+        (fun (shards, jobs) ->
+          check_true
+            (Printf.sprintf "%d conns, shards=%d jobs=%d bitwise-identical"
+               (Network.num_connections net) shards jobs)
+            (run ~shards ~jobs = base))
+        pairs)
+    (shard_inputs ())
 
 let test_shard_invariance_with_drops () =
   (* Overload + finite buffers: the on-drop path must shard identically
      too. *)
-  let net = shard_net () in
-  let rates =
-    Array.init (Network.num_connections net) (fun i ->
-        if i mod 3 = 0 then 1.4 else 0.2)
-  in
-  let run ~shards ~jobs =
-    fingerprint net
-      (Netsim.run ~net ~rates ~discipline:Netsim.Fifo ~seed:92 ~shards ~jobs
-         ~buffer_limit:8 ~horizon:1_000. ())
-  in
-  let base = run ~shards:1 ~jobs:1 in
-  let _, events = base in
-  check_true "events counted" (events > 0);
-  check_true "drops occurred"
-    (let r =
-       Netsim.run ~net ~rates ~discipline:Netsim.Fifo ~seed:92 ~buffer_limit:8
-         ~horizon:1_000. ()
-     in
-     List.exists
-       (fun i -> Netsim.drops r ~conn:i > 0)
-       (List.init (Network.num_connections net) Fun.id));
-  check_true "dropful run bitwise-identical across shards" (run ~shards:6 ~jobs:3 = base)
+  List.iter
+    (fun (net, horizon, pairs) ->
+      let rates = overload_rates net in
+      let run ~shards ~jobs =
+        Netsim.run ~net ~rates ~discipline:Netsim.Fifo ~seed:92 ~shards ~jobs
+          ~buffer_limit:8 ~horizon:(horizon /. 2.) ()
+      in
+      let r = run ~shards:1 ~jobs:1 in
+      let base = fingerprint net r in
+      check_true "events counted" (Netsim.events r > 0);
+      check_true "drops occurred"
+        (List.exists
+           (fun i -> Netsim.drops r ~conn:i > 0)
+           (List.init (Network.num_connections net) Fun.id));
+      List.iter
+        (fun (shards, jobs) ->
+          check_true
+            (Printf.sprintf "%d conns, dropful run at shards=%d jobs=%d identical"
+               (Network.num_connections net) shards jobs)
+            (fingerprint net (run ~shards ~jobs) = base))
+        pairs)
+    (shard_inputs ())
 
 let test_components_counted () =
   let net = shard_net () in
@@ -660,80 +710,138 @@ let test_components_counted () =
   in
   Alcotest.(check int) "one shared gateway" 1 (Netsim.components r1)
 
+let fs_trace ~net ~seed ~shards ~jobs ~horizon =
+  let open Ffc_obs in
+  let sink = Sink.buffer () in
+  let ctx = Ctx.make ~sink ~stride:20 () in
+  ignore
+    (Ctx.with_ctx ctx (fun () ->
+         Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed
+           ~shards ~jobs ~horizon ()));
+  Sink.contents sink
+
 let test_shard_trace_invariance () =
   (* The satellite regression: traced runs are byte-identical whatever
      the shard and jobs counts. *)
+  List.iter
+    (fun (net, horizon, pairs) ->
+      let trace ~shards ~jobs =
+        fs_trace ~net ~seed:95 ~shards ~jobs ~horizon:(horizon /. 4.)
+      in
+      let a = trace ~shards:1 ~jobs:1 in
+      check_true "trace non-empty" (String.length a > 0);
+      List.iter
+        (fun (shards, jobs) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d conns, trace identical at shards=%d jobs=%d"
+               (Network.num_connections net) shards jobs)
+            a (trace ~shards ~jobs))
+        ((6, 1) :: pairs))
+    (shard_inputs ())
+
+(* The desim.delay histogram of a run under its own registry: bucket
+   counts and the sum's bits.  The sum is a float accumulation, so it
+   is shard-invariant only when the per-block tallies are flushed in a
+   fixed order. *)
+let test_delay_histogram_invariance () =
   let open Ffc_obs in
-  let net = shard_net () in
+  let net = block_net () in
   let rates = shard_rates net in
-  let trace ~shards ~jobs =
-    let sink = Sink.buffer () in
-    let ctx = Ctx.make ~sink ~stride:20 () in
+  let tally ~shards ~jobs =
+    let ctx = Ctx.make () in
     ignore
       (Ctx.with_ctx ctx (fun () ->
-           Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:95 ~shards ~jobs
-             ~horizon:500. ()));
-    Sink.contents sink
+           Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:96 ~shards ~jobs
+             ~horizon:150. ()));
+    match List.assoc_opt "desim.delay" (Metrics.snapshot (Ctx.metrics ctx)) with
+    | Some (Metrics.Histogram_v { counts; sum; _ }) ->
+      (Array.to_list counts, Int64.bits_of_float sum)
+    | _ -> Alcotest.fail "desim.delay histogram missing"
   in
-  let a = trace ~shards:1 ~jobs:1 in
-  check_true "trace non-empty" (String.length a > 0);
-  Alcotest.(check string) "trace identical at shards=4 jobs=3" a (trace ~shards:4 ~jobs:3);
-  Alcotest.(check string) "trace identical at shards=6 jobs=1" a (trace ~shards:6 ~jobs:1)
+  let base = tally ~shards:1 ~jobs:1 in
+  check_true "deliveries tallied" (List.fold_left ( + ) 0 (fst base) > 0);
+  List.iter
+    (fun (shards, jobs) ->
+      let counts, sum = tally ~shards ~jobs in
+      Alcotest.(check (list int))
+        (Printf.sprintf "bucket counts at shards=%d jobs=%d" shards jobs)
+        (fst base) counts;
+      Alcotest.(check int64)
+        (Printf.sprintf "sum bits at shards=%d jobs=%d" shards jobs)
+        (snd base) sum)
+    [ (3, 2); (7, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden sample paths                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Digests of whole-run fingerprints (every occupancy, delay and
-   confidence bit, deliveries, drops, events), recorded before Netsim
-   and the closed loops were moved onto one shared packet path.  Any
-   change to a draw, to event order or to the warm-up window moves
+   confidence bit, deliveries, drops, events).  Each case runs on
+   [shard_net] (one simulation block; digests recorded before Netsim and
+   the closed loops were moved onto one shared packet path) and on
+   [block_net] (many blocks and one component larger than a block;
+   digests recorded before the simulator ran its components in blocks).
+   Any change to a draw, to event order or to the warm-up window moves
    them. *)
 let netsim_digest net r =
   let floats, events = fingerprint net r in
   bits_digest ~ints:[ events ] floats
 
+let golden what cases run =
+  List.iter
+    (fun (net, horizon, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s digest, %d conns" what (Network.num_connections net))
+        digest (run net horizon))
+    cases
+
 let test_golden_fifo_buffer () =
-  let net = shard_net () in
-  let rates =
-    Array.init (Network.num_connections net) (fun i -> if i mod 3 = 0 then 1.4 else 0.2)
-  in
-  let r =
-    Netsim.run ~net ~rates ~discipline:Netsim.Fifo ~seed:92 ~buffer_limit:8
-      ~horizon:1_000. ()
-  in
-  Alcotest.(check string) "FIFO drop-tail digest" "7f5f80df90c138ee1208916caf2ae19a"
-    (netsim_digest net r)
+  golden "FIFO drop-tail"
+    [
+      (shard_net (), 1_000., "7f5f80df90c138ee1208916caf2ae19a");
+      (block_net (), 75., "2793cf66da02c481e33c94a767c59ea4");
+    ]
+    (fun net horizon ->
+      let r =
+        Netsim.run ~net ~rates:(overload_rates net) ~discipline:Netsim.Fifo ~seed:92
+          ~buffer_limit:8 ~horizon ()
+      in
+      check_true "drops occurred"
+        (List.exists
+           (fun i -> Netsim.drops r ~conn:i > 0)
+           (List.init (Network.num_connections net) Fun.id));
+      netsim_digest net r)
 
 let test_golden_fair_share () =
-  let net = shard_net () in
-  let r =
-    Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed:91
-      ~horizon:2_000. ()
-  in
-  Alcotest.(check string) "FS digest" "f3ff204b9bdfbbb46277012eca1ae6a7"
-    (netsim_digest net r)
+  golden "FS"
+    [
+      (shard_net (), 2_000., "f3ff204b9bdfbbb46277012eca1ae6a7");
+      (block_net (), 150., "02900f627286205cbdfb8cc79d1259d0");
+    ]
+    (fun net horizon ->
+      netsim_digest net
+        (Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed:91
+           ~horizon ()))
 
 let test_golden_fair_queueing () =
-  let net = shard_net () in
-  let r =
-    Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fair_queueing ~seed:93
-      ~shards:3 ~horizon:1_500. ()
-  in
-  Alcotest.(check string) "FQ digest" "5649c3bcf362538d151214a5c22c79c8"
-    (netsim_digest net r)
+  golden "FQ"
+    [
+      (shard_net (), 1_500., "5649c3bcf362538d151214a5c22c79c8");
+      (block_net (), 150., "ecb73b7c44c9540e6d07cd2c976200d6");
+    ]
+    (fun net horizon ->
+      netsim_digest net
+        (Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fair_queueing
+           ~seed:93 ~shards:3 ~horizon ()))
 
 let test_golden_trace () =
-  let open Ffc_obs in
-  let net = shard_net () in
-  let sink = Sink.buffer () in
-  let ctx = Ctx.make ~sink ~stride:20 () in
-  ignore
-    (Ctx.with_ctx ctx (fun () ->
-         Netsim.run ~net ~rates:(shard_rates net) ~discipline:Netsim.Fs_priority ~seed:95
-           ~horizon:500. ()));
-  Alcotest.(check string) "FS trace digest" "97827344ce08477d0592343f8e2e378d"
-    (Digest.to_hex (Digest.string (Sink.contents sink)))
+  golden "FS trace"
+    [
+      (shard_net (), 500., "97827344ce08477d0592343f8e2e378d");
+      (block_net (), 40., "baf6f52e5c2bd37548f55aef58e9edc6");
+    ]
+    (fun net horizon ->
+      Digest.to_hex (Digest.string (fs_trace ~net ~seed:95 ~shards:1 ~jobs:1 ~horizon)))
 
 let suites =
   [
@@ -808,6 +916,7 @@ let suites =
         case "drop path shard-invariant" test_shard_invariance_with_drops;
         case "component discovery" test_components_counted;
         case "traces byte-identical across shards" test_shard_trace_invariance;
+        case "delay histogram shard-invariant" test_delay_histogram_invariance;
       ] );
     ( "desim.golden",
       [
